@@ -307,8 +307,9 @@ void ShardedSimulationCore::InstallSlot(std::size_t index, SimTime at) {
   slot.stats.messages.set_phase(MessagePhase::kInit);
   slot.protocol->Initialize(at);
   slot.stats.messages.set_phase(MessagePhase::kMaintenance);
-  slot.stats.fp_filters_installed = slot.filters->CountFalsePositiveFilters();
-  slot.stats.fn_filters_installed = slot.filters->CountFalseNegativeFilters();
+  const SilentFilterCounts silent = slot.filters->CountSilentFilters();
+  slot.stats.fp_filters_installed = silent.false_positive;
+  slot.stats.fn_filters_installed = silent.false_negative;
   slot.answer_cur_size = static_cast<double>(slot.protocol->answer().size());
   if (options_.base.oracle.check_every_update) RunOracle(slot);
 }

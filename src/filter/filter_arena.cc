@@ -13,8 +13,8 @@
 namespace asf {
 
 namespace {
-constexpr double kSentinelLower = std::numeric_limits<double>::infinity();
-constexpr double kSentinelUpper = -std::numeric_limits<double>::infinity();
+constexpr double kSentinelLower = kInf;
+constexpr double kSentinelUpper = -kInf;
 }  // namespace
 
 FilterArena::FilterArena(std::size_t num_streams)
@@ -26,27 +26,23 @@ FilterArena::FilterArena(std::size_t num_streams)
 
 FilterArena::~FilterArena() = default;
 
-void FilterArena::RefreshCell(StreamId id, std::size_t column) {
-  const Filter& f = storage_[id * capacity_ + column];
+void FilterArena::WriteCell(StreamId id, std::size_t column,
+                            const FilterConstraint& constraint,
+                            Value current_value) {
+  // An interval's canonical degenerate forms vectorize for free: the empty
+  // [inf, inf] can contain no finite value, [-inf, inf] contains every
+  // finite value — both exactly Interval::Contains for the finite stream
+  // values the kernel contract requires. With no filter installed every
+  // update reports: the bounds are sentinel so the inside mask stays 0,
+  // and the reference bit (0, as Filter::Deploy sets it) is preserved
+  // verbatim by the kernel's blend, as OnValueChange leaves it.
+  const bool filtered = constraint.has_filter();
   const std::size_t lane = id * stride_ + column;
-  if (f.constraint().has_filter()) {
-    // The interval's canonical degenerate forms vectorize for free: the
-    // empty [inf, inf] can contain no finite value, [-inf, inf] contains
-    // every finite value — both exactly Interval::Contains for the finite
-    // stream values the kernel contract requires.
-    lower_[lane] = f.constraint().interval().lo();
-    upper_[lane] = f.constraint().interval().hi();
-    SetBit(always_bits_, id, column, false);
-  } else {
-    // No filter installed: every update reports. The bounds are sentinel
-    // so the inside mask stays 0 and the reference bit is preserved
-    // verbatim by the kernel's blend, mirroring how OnValueChange leaves
-    // the reference untouched on the no-filter path.
-    lower_[lane] = kSentinelLower;
-    upper_[lane] = kSentinelUpper;
-    SetBit(always_bits_, id, column, true);
-  }
-  SetBit(ref_bits_, id, column, f.reference_inside());
+  lower_[lane] = filtered ? constraint.interval().lo() : kSentinelLower;
+  upper_[lane] = filtered ? constraint.interval().hi() : kSentinelUpper;
+  SetBit(always_bits_, id, column, !filtered);
+  SetBit(ref_bits_, id, column,
+         filtered && constraint.interval().Contains(current_value));
 }
 
 void FilterArena::SentinelCell(StreamId id, std::size_t column) {
@@ -57,56 +53,46 @@ void FilterArena::SentinelCell(StreamId id, std::size_t column) {
   SetBit(ref_bits_, id, column, false);
 }
 
-void FilterArena::RebuildMirrors() {
+void FilterArena::Restride() {
+  const std::size_t old_stride = stride_;
   const std::size_t old_words = words_;
-  const std::vector<std::uint64_t> old_ref = std::move(ref_bits_);
-  const std::vector<std::uint64_t> old_touched = std::move(touched_bits_);
   stride_ = PaddedStride(capacity_);
   words_ = stride_ / 64;
-  lower_.assign(num_streams_ * stride_, kSentinelLower);
-  upper_.assign(num_streams_ * stride_, kSentinelUpper);
-  ref_bits_.assign(num_streams_ * words_, 0);
-  always_bits_.assign(num_streams_ * words_, 0);
-  fired_.assign(words_, 0);
-  if (tracking_) touched_bits_.assign(num_streams_ * words_, 0);
-  for (StreamId id = 0; id < num_streams_; ++id) {
-    // Bounds and always-bits re-derive from the canonical constraints;
-    // the reference bits are themselves canonical (the kernel advances
-    // them without touching the AoS cells) and must be carried over.
-    for (std::size_t c = 0; c < live_; ++c) RefreshCell(id, c);
-    for (std::size_t w = 0; w < old_words; ++w) {
-      ref_bits_[id * words_ + w] = old_ref[id * old_words + w];
-      if (tracking_ && !old_touched.empty()) {
-        touched_bits_[id * words_ + w] = old_touched[id * old_words + w];
-      }
+  // Live columns keep their indices; only the row stride changes. Lanes
+  // at or beyond live() come up sentinel, and bits at or beyond live()
+  // are 0 in the old words as in the new.
+  const auto widen = [this](auto& rows, std::size_t old_width,
+                            std::size_t width, std::size_t keep, auto fill) {
+    const auto old = std::move(rows);
+    rows.assign(num_streams_ * width, fill);
+    if (old.empty()) return;
+    for (StreamId id = 0; id < num_streams_; ++id) {
+      std::copy_n(old.begin() + id * old_width, keep,
+                  rows.begin() + id * width);
     }
+  };
+  widen(lower_, old_stride, stride_, live_, kSentinelLower);
+  widen(upper_, old_stride, stride_, live_, kSentinelUpper);
+  widen(ref_bits_, old_words, words_, old_words, std::uint64_t{0});
+  widen(always_bits_, old_words, words_, old_words, std::uint64_t{0});
+  if (tracking_) {
+    widen(touched_bits_, old_words, words_, old_words, std::uint64_t{0});
   }
+  fired_.assign(words_, 0);
 }
 
 std::size_t FilterArena::Acquire() {
   if (live_ == capacity_) {
-    // Grow by doubling. Live columns keep their indices; only the row
-    // stride changes, so copy row by row into the wider layout.
-    const std::size_t new_capacity = capacity_ == 0 ? 1 : capacity_ * 2;
-    std::vector<Filter> grown(num_streams_ * new_capacity);
-    for (std::size_t s = 0; s < num_streams_; ++s) {
-      for (std::size_t c = 0; c < live_; ++c) {
-        grown[s * new_capacity + c] = storage_[s * capacity_ + c];
-      }
-    }
-    storage_ = std::move(grown);
-    capacity_ = new_capacity;
+    // Grow by doubling; the lanes only widen at 64-column steps.
+    capacity_ = capacity_ == 0 ? 1 : capacity_ * 2;
     ++generation_;  // every outstanding view now points at stale layout
-    if (PaddedStride(capacity_) != stride_) {
-      RebuildMirrors();  // the mirror stride only widens at 64-column steps
-    }
+    if (PaddedStride(capacity_) != stride_) Restride();
   }
   const std::size_t column = live_++;
-  // Recycled columns must come up pristine: a retiring tenant leaves its
-  // last filter states behind.
+  // Recycled columns must come up pristine (no filter installed): a
+  // retiring tenant leaves its last filter states behind.
   for (std::size_t s = 0; s < num_streams_; ++s) {
-    storage_[s * capacity_ + column] = Filter();
-    RefreshCell(s, column);
+    WriteCell(s, column, FilterConstraint::NoFilter(), 0.0);
   }
   // A re-acquired column may shadow stale snapshot entries in the index.
   if (index_) index_->OnAcquire(column);
@@ -117,19 +103,14 @@ std::size_t FilterArena::Release(std::size_t column) {
   ASF_CHECK(column < live_);
   const std::size_t last = live_ - 1;
   if (column != last) {
-    // Keep the live prefix dense: the last tenant moves into the hole,
-    // canonical cells and mirror lanes alike.
+    // Keep the live prefix dense: the last tenant moves into the hole.
     for (std::size_t s = 0; s < num_streams_; ++s) {
-      storage_[s * capacity_ + column] = storage_[s * capacity_ + last];
       lower_[s * stride_ + column] = lower_[s * stride_ + last];
       upper_[s * stride_ + column] = upper_[s * stride_ + last];
-      SetBit(ref_bits_, s, column,
-             (ref_bits_[s * words_ + last / 64] >> (last % 64)) & 1u);
-      SetBit(always_bits_, s, column,
-             (always_bits_[s * words_ + last / 64] >> (last % 64)) & 1u);
+      SetBit(ref_bits_, s, column, Bit(ref_bits_, s, last));
+      SetBit(always_bits_, s, column, Bit(always_bits_, s, last));
       if (tracking_) {
-        const bool moved_touched =
-            (touched_bits_[s * words_ + last / 64] >> (last % 64)) & 1u;
+        const bool moved_touched = Bit(touched_bits_, s, last);
         SetBit(touched_bits_, s, column, moved_touched);
         if (moved_touched) {
           // The moved tenant's touched mark now answers at the hole; the
@@ -160,12 +141,39 @@ std::size_t FilterArena::Release(std::size_t column) {
   return last;
 }
 
+Filter FilterArena::cell(StreamId id, std::size_t column) const {
+  ASF_DCHECK(id < num_streams_ && column < live_);
+  const bool ref = Bit(ref_bits_, id, column);
+  if (Bit(always_bits_, id, column)) {
+    return Filter(FilterConstraint::NoFilter(), ref);
+  }
+  // Every empty interval is stored as its canonical [+inf, +inf] lanes.
+  const double lo = lower_[id * stride_ + column];
+  const double hi = upper_[id * stride_ + column];
+  const Interval interval =
+      lo == kInf && hi == kInf ? Interval::Never() : Interval(lo, hi);
+  return Filter(FilterConstraint::Range(interval), ref);
+}
+
+SilentFilterCounts FilterArena::CountSilent(std::size_t column) const {
+  ASF_DCHECK(column < live_);
+  SilentFilterCounts counts;
+  for (StreamId id = 0; id < num_streams_; ++id) {
+    // Both silent forms end at +inf; no-filter cells hold the -inf
+    // sentinel upper bound, so they never count.
+    const std::size_t lane = id * stride_ + column;
+    if (upper_[lane] != kInf) continue;
+    if (lower_[lane] == -kInf) ++counts.false_positive;
+    if (lower_[lane] == kInf) ++counts.false_negative;
+  }
+  return counts;
+}
+
 void FilterArena::Deploy(StreamId id, std::size_t column,
                          const FilterConstraint& constraint,
                          Value current_value) {
   ASF_DCHECK(id < num_streams_ && column < live_);
-  storage_[id * capacity_ + column].Deploy(constraint, current_value);
-  RefreshCell(id, column);
+  WriteCell(id, column, constraint, current_value);
   if (tracking_) MarkTouched(id, column);
   if (index_) index_->OnDeploy(id, column);
 }
@@ -173,9 +181,10 @@ void FilterArena::Deploy(StreamId id, std::size_t column,
 void FilterArena::SyncReference(StreamId id, std::size_t column,
                                 Value current_value) {
   ASF_DCHECK(id < num_streams_ && column < live_);
-  Filter& f = storage_[id * capacity_ + column];
-  f.SyncReference(current_value);
-  SetBit(ref_bits_, id, column, f.reference_inside());
+  // No-filter cells hold sentinel lanes, so their reference stays 0 —
+  // Filter::SyncReference leaves it untouched likewise.
+  SetBit(ref_bits_, id, column,
+         LaneInside(id * stride_ + column, current_value));
   // No index dirty-mark: a reference sync changes no bounds, and the
   // serial engine only syncs at dispatch-coherent values; the sharded
   // replay's syncs land on cells the epoch already dirty-marked via
@@ -208,12 +217,11 @@ const std::uint64_t* FilterArena::EvaluateUpdate(StreamId id, Value v) {
 
 bool FilterArena::EvaluateColumn(StreamId id, std::size_t column, Value v) {
   ASF_DCHECK(id < num_streams_ && column < live_);
-  const Filter& f = storage_[id * capacity_ + column];
-  // Filter::OnValueChange over the canonical state: constraint from the
-  // AoS record, membership reference from the SoA bit.
-  if (!f.constraint().has_filter()) return true;
-  const bool inside = f.constraint().interval().Contains(v);
-  if (inside == ReferenceInside(id, column)) return false;
+  ASF_DCHECK(std::isfinite(v));
+  // Filter::OnValueChange over the cell's lanes and bits.
+  if (Bit(always_bits_, id, column)) return true;
+  const bool inside = LaneInside(id * stride_ + column, v);
+  if (inside == Bit(ref_bits_, id, column)) return false;
   SetBit(ref_bits_, id, column, inside);
   return true;
 }

@@ -24,26 +24,22 @@
 /// tests exactly the live filters of the updated stream no matter how many
 /// queries have come and gone.
 ///
-/// Storage is two-level (DESIGN.md §8):
-///
-///  * The *constraint record*: one `Filter` per (stream, column) cell in
-///    array-of-structs order, the canonical home of each cell's deployed
-///    constraint — what counts, views, and redeploys read.
-///  * Hot SoA state: per stream strip, the interval bounds as dense
-///    `lower[]` / `upper[]` double lanes plus two bitmask words per 64
-///    columns — `ref` (the *canonical* membership reference; the AoS
-///    copy is not maintained by the kernel) and `always`
-///    (no-filter-installed columns, which report every update). The strip
-///    stride is padded to a multiple of 64 columns; lanes at or beyond
-///    live() hold sentinel bounds (+inf / -inf) so they can never fire.
+/// Each (stream, column) cell is stored exactly once, structure-of-arrays
+/// (DESIGN.md §8): per stream strip, the interval bounds as dense
+/// `lower[]` / `upper[]` double lanes plus two bitmask words per 64
+/// columns — `ref` (the membership reference) and `always`
+/// (no-filter-installed columns, which report every update). The strip
+/// stride is padded to a multiple of 64 columns; lanes at or beyond live()
+/// hold sentinel bounds (+inf / -inf) so they can never fire. cell() and
+/// FilterBank::at() rebuild a `Filter` from the lanes and bits by value.
 ///
 /// EvaluateUpdate() is the branch-free crossing kernel over that state:
 /// one SIMD sweep computes the inside mask, one word op each derives the
 /// fired mask `(inside XOR ref) OR always` and the advanced reference
 /// `ref' = inside` for filtered columns — no per-column work at all, no
 /// matter how many fire. Every mutation path (Deploy / SyncReference /
-/// growth / compaction) keeps bounds and bits coherent, so kernel results
-/// always equal running Filter::OnValueChange cell by cell
+/// growth / compaction) writes the lanes and bits directly, so kernel
+/// results always equal running Filter::OnValueChange cell by cell
 /// (tests/filter_arena_test.cc).
 ///
 /// Columns are the unit of tenancy. A deploying query Acquires the next
@@ -81,7 +77,8 @@ class FilterArena {
   /// Live (tenanted) columns; they are always the dense prefix 0..live-1.
   std::size_t live() const { return live_; }
 
-  /// Allocated columns — the stride of every canonical strip.
+  /// Tenancy capacity in columns (doubles on growth); the lanes are
+  /// allocated at capacity() padded to a multiple of 64.
   std::size_t capacity() const { return capacity_; }
 
   /// Bumped whenever outstanding views may have gone stale (growth or
@@ -114,40 +111,31 @@ class FilterArena {
     relocate_ = std::move(callback);
   }
 
-  /// The contiguous constraint strip of stream `id`'s filters; columns
-  /// 0..live()-1 are the live ones. Read-only outside the arena: direct
-  /// mutation would desync the SoA state — use Deploy/SyncReference. The
-  /// membership reference fields are only authoritative for cells no
-  /// kernel evaluation has touched since their last Deploy/SyncReference;
-  /// ReferenceInside() reads the canonical bit. Valid until the next
-  /// Acquire/Release.
-  const Filter* Strip(StreamId id) const {
-    ASF_DCHECK(id < num_streams_);
-    return storage_.data() + id * capacity_;
-  }
+  /// Cell (id, column) (column must be live), rebuilt by value from the
+  /// lanes and bits: `always` is NoFilter(), lanes [+inf, +inf] are
+  /// Interval::Never(), other lanes [lo, hi] are Interval(lo, hi) — so a
+  /// non-empty Interval(+inf, +inf) reads back as Never() (DESIGN.md §8).
+  Filter cell(StreamId id, std::size_t column) const;
 
-  /// One constraint cell (column must be live; see Strip() for the
-  /// reference-field caveat).
-  const Filter& cell(StreamId id, std::size_t column) const {
-    ASF_DCHECK(id < num_streams_ && column < live_);
-    return storage_[id * capacity_ + column];
-  }
+  /// Streams of `column` (must be live) holding each silent degenerate
+  /// constraint, counted in one pass over the column's lanes.
+  SilentFilterCounts CountSilent(std::size_t column) const;
 
-  /// The canonical membership reference of cell (id, column) — the SoA
-  /// bit the kernel advances. Meaningful only while a filter is
-  /// installed, like Filter::reference_inside().
+  /// The membership reference of cell (id, column) — the bit the kernel
+  /// advances. Meaningful only while a filter is installed, like
+  /// Filter::reference_inside().
   bool ReferenceInside(StreamId id, std::size_t column) const {
     ASF_DCHECK(id < num_streams_ && column < live_);
-    return (ref_bits_[id * words_ + column / 64] >> (column % 64)) & 1u;
+    return Bit(ref_bits_, id, column);
   }
 
   /// Installs a constraint at cell (id, column) against the stream's
-  /// current value, refreshing the cell's mirror lanes.
+  /// current value, like Filter::Deploy.
   void Deploy(StreamId id, std::size_t column,
               const FilterConstraint& constraint, Value current_value);
 
   /// Syncs cell (id, column)'s membership reference to the stream's
-  /// current (probed) value, refreshing the mirror reference bit.
+  /// current (probed) value, like Filter::SyncReference.
   void SyncReference(StreamId id, std::size_t column, Value current_value);
 
   /// The crossing kernel: evaluates value `v` of stream `id` against all
@@ -164,8 +152,8 @@ class FilterArena {
   std::size_t fired_words() const { return (live_ + 63) / 64; }
 
   /// Scalar single-cell evaluation (the sharded merge replay's dirty-cell
-  /// path): runs Filter::OnValueChange on the canonical cell and keeps the
-  /// mirror reference bit in sync. Returns whether the filter fired.
+  /// path): Filter::OnValueChange on the cell's lanes and bits. Returns
+  /// whether the filter fired. Requires finite `v`.
   bool EvaluateColumn(StreamId id, std::size_t column, Value v);
 
   /// Batched counterpart of EvaluateColumn for the sharded merge replay:
@@ -253,16 +241,27 @@ class FilterArena {
     return (capacity + 63) & ~std::size_t{63};
   }
 
-  /// Recomputes cell (id, column)'s mirror lanes and bits from the
-  /// canonical Filter.
-  void RefreshCell(StreamId id, std::size_t column);
+  /// Writes `constraint` into cell (id, column) with its membership
+  /// reference taken against `current_value`.
+  void WriteCell(StreamId id, std::size_t column,
+                 const FilterConstraint& constraint, Value current_value);
 
-  /// Writes the never-fires sentinel into cell (id, column)'s mirror.
+  /// Writes the never-fires sentinel into cell (id, column).
   void SentinelCell(StreamId id, std::size_t column);
 
-  /// Rebuilds the whole mirror arrays for the (possibly new) stride:
-  /// live cells refreshed from the canonical record, the rest sentinel.
-  void RebuildMirrors();
+  /// Re-lays the lanes and bit words out at the stride of capacity_,
+  /// carrying every live cell over.
+  void Restride();
+
+  /// Closed-interval membership of finite `v` in lane `lane`.
+  bool LaneInside(std::size_t lane, Value v) const {
+    return lower_[lane] <= v && v <= upper_[lane];
+  }
+
+  bool Bit(const std::vector<std::uint64_t>& bits, StreamId id,
+           std::size_t column) const {
+    return (bits[id * words_ + column / 64] >> (column % 64)) & 1u;
+  }
 
   void SetBit(std::vector<std::uint64_t>& bits, StreamId id,
               std::size_t column, bool value) {
@@ -275,10 +274,8 @@ class FilterArena {
   std::size_t capacity_ = 0;
   std::size_t live_ = 0;
   std::uint64_t generation_ = 0;
-  /// Canonical cells: storage_[stream * capacity_ + column].
-  std::vector<Filter> storage_;
 
-  /// SoA mirrors, stride_ = PaddedStride(capacity_) lanes per stream,
+  /// The cells, stride_ = PaddedStride(capacity_) lanes per stream,
   /// words_ = stride_ / 64 mask words per stream.
   std::size_t stride_ = 0;
   std::size_t words_ = 0;

@@ -4,13 +4,12 @@
 
 namespace asf {
 
-Filter& FilterBank::ArenaCell(StreamId id) {
-  const std::size_t shard = id % arenas_.size();
-  const std::size_t row = id / arenas_.size();
-  // cell() returns const (outside writers must go through the arena's
-  // mutation entry points); the bank itself routes its mutations there,
-  // so handing the caller read access through the same path is safe.
-  return const_cast<Filter&>(arenas_[shard]->cell(row, column_));
+const Filter FilterBank::at(StreamId id) const {
+  ASF_DCHECK(id < size_);
+  if (!arenas_.empty()) {
+    return arenas_[id % arenas_.size()]->cell(id / arenas_.size(), column_);
+  }
+  return owned_[id];
 }
 
 void FilterBank::Deploy(StreamId id, const FilterConstraint& constraint,
@@ -20,7 +19,7 @@ void FilterBank::Deploy(StreamId id, const FilterConstraint& constraint,
                                          constraint, current_value);
     return;
   }
-  at(id).Deploy(constraint, current_value);
+  mutable_at(id).Deploy(constraint, current_value);
 }
 
 void FilterBank::SyncReference(StreamId id, Value current_value) {
@@ -29,23 +28,24 @@ void FilterBank::SyncReference(StreamId id, Value current_value) {
                                                 current_value);
     return;
   }
-  at(id).SyncReference(current_value);
+  mutable_at(id).SyncReference(current_value);
 }
 
-std::size_t FilterBank::CountFalsePositiveFilters() const {
-  std::size_t n = 0;
-  for (StreamId id = 0; id < size_; ++id) {
-    if (at(id).constraint().IsFalsePositiveFilter()) ++n;
+SilentFilterCounts FilterBank::CountSilentFilters() const {
+  SilentFilterCounts counts;
+  if (!arenas_.empty()) {
+    for (const FilterArena* arena : arenas_) {
+      const SilentFilterCounts part = arena->CountSilent(column_);
+      counts.false_positive += part.false_positive;
+      counts.false_negative += part.false_negative;
+    }
+    return counts;
   }
-  return n;
-}
-
-std::size_t FilterBank::CountFalseNegativeFilters() const {
-  std::size_t n = 0;
-  for (StreamId id = 0; id < size_; ++id) {
-    if (at(id).constraint().IsFalseNegativeFilter()) ++n;
+  for (const Filter& filter : owned_) {
+    counts.false_positive += filter.constraint().IsFalsePositiveFilter();
+    counts.false_negative += filter.constraint().IsFalseNegativeFilter();
   }
-  return n;
+  return counts;
 }
 
 std::size_t FilterBank::CountInstalled() const {

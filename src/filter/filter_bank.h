@@ -17,17 +17,15 @@
 /// touch them, preserving the distributed-system message discipline.
 ///
 /// A bank is one of:
-///  * *owning* — its own dense array, stride 1 (standalone tests/tools);
-///  * a *raw strided view* into caller-managed storage (legacy layout
-///    experiments);
+///  * *owning* — its own dense array (standalone tests/tools);
 ///  * an *arena-routed view*: one query's column across one or more
 ///    FilterArenas. With a single arena this is the serial engine's
 ///    stream-major layout; with S arenas the filters are sharded
 ///    round-robin — stream id lives in arena id % S at row id / S — which
 ///    is how a query spans the sharded engine's per-shard strips.
-///    Mutations (Deploy / SyncReference) route through the arena so its
-///    SoA mirrors stay coherent; mutate arena-backed cells only through
-///    those entry points, never through at().
+///    Mutations (Deploy / SyncReference) route through the arena, which
+///    stores each cell once as SoA lanes and bits; at() rebuilds a
+///    `Filter` from them by value.
 ///
 /// Views are rebound as queries come and go (see filter/filter_arena.h
 /// and SimulationCore::InstallSlot / RebindLiveViews).
@@ -36,29 +34,23 @@ namespace asf {
 
 class FilterArena;
 
-/// Dense, strided, or arena-routed array of per-stream filters.
+/// How many filters hold each silent degenerate constraint.
+struct SilentFilterCounts {
+  std::size_t false_positive = 0;  ///< [−∞, ∞]
+  std::size_t false_negative = 0;  ///< [∞, ∞]
+};
+
+/// Dense or arena-routed array of per-stream filters.
 class FilterBank {
  public:
   /// Detached bank: no storage, size 0. The state of a dynamic query's
   /// bank before its filters are bound into the shared arena (and after
   /// they are released); any access trips the size check.
-  FilterBank() : base_(nullptr), stride_(1), size_(0) {}
+  FilterBank() = default;
 
-  /// Owning bank: `num_streams` default-constructed filters, stride 1.
+  /// Owning bank: `num_streams` default-constructed filters.
   explicit FilterBank(std::size_t num_streams)
-      : owned_(num_streams), base_(owned_.data()), stride_(1),
-        size_(num_streams) {}
-
-  /// Non-owning raw strided view: the filter of stream `id` lives at
-  /// `base[id * stride]`. The caller keeps `base` alive and stable for
-  /// the lifetime of the view.
-  FilterBank(Filter* base, std::size_t stride, std::size_t num_streams,
-             std::uint64_t generation = 0)
-      : base_(base), stride_(stride), size_(num_streams),
-        generation_(generation) {
-    ASF_CHECK(base != nullptr);
-    ASF_CHECK(stride >= 1);
-  }
+      : owned_(num_streams), size_(num_streams) {}
 
   /// Arena-routed view of one query's `column` across `arenas` (stream id
   /// -> arena id % S, row id / S). The arenas outlive the view; the
@@ -66,9 +58,8 @@ class FilterBank {
   /// (see FilterArena) so stale views are detectable after a rebind.
   FilterBank(std::vector<FilterArena*> arenas, std::size_t column,
              std::size_t num_streams, std::uint64_t generation = 0)
-      : base_(nullptr), stride_(1), size_(num_streams),
-        generation_(generation), arenas_(std::move(arenas)),
-        column_(column) {
+      : size_(num_streams), generation_(generation),
+        arenas_(std::move(arenas)), column_(column) {
     ASF_CHECK(!arenas_.empty());
     for (const FilterArena* arena : arenas_) ASF_CHECK(arena != nullptr);
   }
@@ -83,20 +74,18 @@ class FilterBank {
   /// catch use of a view that survived a rebind.
   std::uint64_t bound_generation() const { return generation_; }
 
-  /// Read access to stream `id`'s filter. Mutable access is only valid
-  /// for owning and raw strided banks — arena cells must be mutated via
-  /// Deploy / SyncReference so the arena mirrors stay in sync.
-  Filter& at(StreamId id) {
+  /// A copy of stream `id`'s filter, in every mode (arena views rebuild
+  /// it from the arena's lanes, see FilterArena::cell). The copy is const
+  /// so a mutating call on it fails to compile instead of silently
+  /// updating a temporary; mutate through Deploy / SyncReference, or
+  /// mutable_at() on owning banks.
+  const Filter at(StreamId id) const;
+
+  /// Mutable access to stream `id`'s filter; owning banks only.
+  Filter& mutable_at(StreamId id) {
+    ASF_CHECK(arenas_.empty());
     ASF_DCHECK(id < size_);
-    if (!arenas_.empty()) return ArenaCell(id);
-    return base_[id * stride_];
-  }
-  const Filter& at(StreamId id) const {
-    ASF_DCHECK(id < size_);
-    if (!arenas_.empty()) {
-      return const_cast<FilterBank*>(this)->ArenaCell(id);
-    }
-    return base_[id * stride_];
+    return owned_[id];
   }
 
   /// Installs a constraint on one stream given its current value.
@@ -107,23 +96,16 @@ class FilterBank {
   /// value: the probed value becomes the last-reported one.
   void SyncReference(StreamId id, Value current_value);
 
-  /// Number of filters currently in the [−∞, ∞] (false positive) state.
-  std::size_t CountFalsePositiveFilters() const;
-
-  /// Number of filters currently in the [∞, ∞] (false negative) state.
-  std::size_t CountFalseNegativeFilters() const;
+  /// Numbers of filters currently in the [−∞, ∞] (false positive) and
+  /// [∞, ∞] (false negative) states, counted in one pass.
+  SilentFilterCounts CountSilentFilters() const;
 
   /// Number of streams with any interval filter installed.
   std::size_t CountInstalled() const;
 
  private:
-  /// The canonical cell of stream `id` in the owning arena (routed mode).
-  Filter& ArenaCell(StreamId id);
-
   std::vector<Filter> owned_;  ///< empty for views
-  Filter* base_;
-  std::size_t stride_;
-  std::size_t size_;
+  std::size_t size_ = 0;
   std::uint64_t generation_ = 0;
   std::vector<FilterArena*> arenas_;  ///< non-empty for arena-routed views
   std::size_t column_ = 0;

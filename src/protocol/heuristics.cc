@@ -1,6 +1,7 @@
 #include "protocol/heuristics.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -30,25 +31,27 @@ std::vector<StreamId> SelectFilterHolders(
     const std::vector<StreamId>& candidates, std::size_t count,
     SelectionHeuristic heuristic,
     const std::function<double(StreamId)>& priority, Rng* rng) {
-  std::vector<StreamId> picked = candidates;
-  const std::size_t take = std::min(count, picked.size());
-  switch (heuristic) {
-    case SelectionHeuristic::kRandom:
-      ASF_CHECK(rng != nullptr);
-      rng->Shuffle(&picked);
-      break;
-    case SelectionHeuristic::kBoundaryNearest:
-      ASF_CHECK(priority != nullptr);
-      std::sort(picked.begin(), picked.end(),
-                [&priority](StreamId a, StreamId b) {
-                  const double pa = priority(a);
-                  const double pb = priority(b);
-                  if (pa != pb) return pa < pb;
-                  return a < b;
-                });
-      break;
+  const std::size_t take = std::min(count, candidates.size());
+  if (heuristic == SelectionHeuristic::kRandom) {
+    ASF_CHECK(rng != nullptr);
+    std::vector<StreamId> picked = candidates;
+    rng->Shuffle(&picked);
+    picked.resize(take);
+    return picked;
   }
-  picked.resize(take);
+  ASF_CHECK(heuristic == SelectionHeuristic::kBoundaryNearest);
+  ASF_CHECK(priority != nullptr);
+  // Each priority is computed once. (priority, id) keys order totally, so
+  // selecting the `take` smallest and sorting only those yields exactly
+  // the first `take` of a full (priority, id) sort.
+  std::vector<std::pair<double, StreamId>> keyed;
+  keyed.reserve(candidates.size());
+  for (const StreamId id : candidates) keyed.emplace_back(priority(id), id);
+  const auto kept = keyed.begin() + static_cast<std::ptrdiff_t>(take);
+  std::nth_element(keyed.begin(), kept, keyed.end());
+  std::sort(keyed.begin(), kept);
+  std::vector<StreamId> picked(take);
+  for (std::size_t i = 0; i < take; ++i) picked[i] = keyed[i].second;
   return picked;
 }
 

@@ -59,6 +59,7 @@ Result<std::vector<std::uint8_t>> PagedRecordStore::Read(
     const RecordRef& ref) {
   ASF_CHECK_MSG(ref.valid(), "read of an unspilled record");
   std::vector<std::uint8_t> out(ref.bytes);
+  if (out.empty()) return out;  // head page only; out.data() may be null
   const std::size_t chunk = payload_per_page();
   std::size_t offset = 0;
   PageId id = ref.head;
@@ -71,7 +72,7 @@ Result<std::vector<std::uint8_t>> PagedRecordStore::Read(
     pool_->Unpin(id, /*dirty=*/false);
     offset += n;
     id = next;
-    if (offset >= out.size()) break;  // zero-length records: head only
+    if (offset >= out.size()) break;
   }
   ASF_CHECK_MSG(offset == out.size(), "spilled record chain truncated");
   return out;

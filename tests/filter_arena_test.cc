@@ -1,6 +1,8 @@
 #include "filter/filter_arena.h"
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -159,12 +161,11 @@ TEST(FilterArenaTest, StripScansLivePrefix) {
     arena.View(c).Deploy(0, RangeConstraint(100.0 * c, 100.0 * c + 50), 0.0);
   }
   arena.Release(1);  // column 4 moves into 1; live = {0, 4, 2, 3}
-  const Filter* strip = arena.Strip(0);
   EXPECT_EQ(arena.live(), 4u);
-  EXPECT_EQ(strip[0].constraint(), RangeConstraint(0, 50));
-  EXPECT_EQ(strip[1].constraint(), RangeConstraint(400, 450));
-  EXPECT_EQ(strip[2].constraint(), RangeConstraint(200, 250));
-  EXPECT_EQ(strip[3].constraint(), RangeConstraint(300, 350));
+  EXPECT_EQ(arena.cell(0, 0).constraint(), RangeConstraint(0, 50));
+  EXPECT_EQ(arena.cell(0, 1).constraint(), RangeConstraint(400, 450));
+  EXPECT_EQ(arena.cell(0, 2).constraint(), RangeConstraint(200, 250));
+  EXPECT_EQ(arena.cell(0, 3).constraint(), RangeConstraint(300, 350));
 }
 
 TEST(FilterArenaTest, ViewsCarryTheGenerationTag) {
@@ -285,7 +286,7 @@ TEST(FilterArenaKernelTest, MutationsInterleavedWithKernelStayExact) {
   }
 }
 
-TEST(FilterArenaKernelTest, GrowthAndCompactionRegenerateTheMirrors) {
+TEST(FilterArenaKernelTest, GrowthAndCompactionCarryTheLanes) {
   constexpr std::size_t kStreams = 4;
   FilterArena arena(kStreams);
   Rng rng(9);
@@ -310,7 +311,7 @@ TEST(FilterArenaKernelTest, GrowthAndCompactionRegenerateTheMirrors) {
 
   // Grow far past the 64-column SoA stride so the bit-stride widens with
   // advanced references in flight; evaluate between growth steps so the
-  // kernel's reference bits diverge from the stale AoS record.
+  // kernel has advanced reference bits to carry over.
   for (int i = 0; i < 130; ++i) {
     const std::size_t c = arena.Acquire();
     ASSERT_EQ(c, reference.size());
@@ -327,8 +328,8 @@ TEST(FilterArenaKernelTest, GrowthAndCompactionRegenerateTheMirrors) {
   evaluate_all(1000);
 
   // Release half the columns from the middle: swap-move compaction must
-  // move constraint cells and SoA lanes (including advanced reference
-  // bits) together.
+  // move the bound lanes and the bits (including advanced reference bits)
+  // together.
   for (int i = 0; i < 60; ++i) {
     arena.Release(17);
     reference[17] = std::move(reference.back());
@@ -366,6 +367,245 @@ TEST(FilterArenaKernelTest, TouchedCellTrackingFollowsMutations) {
   ASSERT_TRUE(arena.CellTouched(2, b));
   arena.Release(a);  // b moves into a's slot
   EXPECT_TRUE(arena.CellTouched(2, a));
+}
+
+// --- Single-copy storage: cells rebuilt from the lanes and bits ---
+//
+// The arena keeps each cell once, as bound lanes plus ref/always bits;
+// cell() and FilterBank::at() rebuild a Filter from them. Every
+// constraint kind must read back equal to what was deployed, with the
+// reference a standalone Filter would hold, through growth and
+// compaction.
+
+void ExpectSameFilter(const Filter& got, const Filter& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.constraint(), want.constraint())
+      << where << ": got " << got.constraint().ToString() << ", want "
+      << want.constraint().ToString();
+  EXPECT_EQ(got.reference_inside(), want.reference_inside()) << where;
+}
+
+// Values on a coarse grid half the time, so point filters [x, x] and
+// closed bounds are hit exactly.
+Value RandomValue(Rng* rng) {
+  if (rng->Bernoulli(0.5)) {
+    return 50.0 * static_cast<double>(rng->UniformInt(0, 20));
+  }
+  return rng->Uniform(-50, 1050);
+}
+
+FilterConstraint RandomConstraint(Rng* rng) {
+  switch (rng->UniformInt(0, 6)) {
+    case 0:
+      return FilterConstraint::NoFilter();
+    case 1:
+      return FilterConstraint::FalsePositive();
+    case 2:
+      return FilterConstraint::FalseNegative();
+    case 3: {
+      const double lo = rng->Uniform(0, 900);
+      return RangeConstraint(lo, lo + rng->Uniform(1, 150));
+    }
+    case 4: {  // point filter [x, x]
+      const double x = 50.0 * static_cast<double>(rng->UniformInt(0, 20));
+      return RangeConstraint(x, x);
+    }
+    case 5:  // half-bounded
+      return RangeConstraint(rng->Uniform(0, 1000), kInf);
+    default:
+      return RangeConstraint(-kInf, rng->Uniform(0, 1000));
+  }
+}
+
+TEST(FilterArenaCellTest, EveryConstraintKindReadsBack) {
+  const std::vector<FilterConstraint> kinds{
+      FilterConstraint::NoFilter(),      FilterConstraint::FalsePositive(),
+      FilterConstraint::FalseNegative(), RangeConstraint(400, 600),
+      RangeConstraint(250, 250),         RangeConstraint(-kInf, 10),
+      RangeConstraint(10, kInf),         RangeConstraint(-kInf, -kInf)};
+  const std::vector<Value> currents{250.0, 500.0, 5.0, 700.0};
+  const std::size_t streams = kinds.size() * currents.size();
+  // One arena, and three arenas behind a round-robin routed view (the
+  // sharded engine's layout): at() must rebuild the same cells.
+  FilterArena single(streams);
+  std::vector<std::unique_ptr<FilterArena>> shards;
+  std::vector<FilterArena*> shard_ptrs;
+  for (std::size_t s = 0; s < 3; ++s) {
+    shards.push_back(std::make_unique<FilterArena>((streams + 2 - s) / 3));
+    shard_ptrs.push_back(shards.back().get());
+  }
+  single.Acquire();
+  for (FilterArena* arena : shard_ptrs) arena->Acquire();
+  FilterBank view = single.View(0);
+  FilterBank routed(shard_ptrs, 0, streams);
+  FilterBank owning(streams);
+
+  std::size_t fp = 0;
+  std::size_t fn = 0;
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    for (std::size_t i = 0; i < currents.size(); ++i) {
+      const StreamId id = static_cast<StreamId>(k * currents.size() + i);
+      view.Deploy(id, kinds[k], currents[i]);
+      routed.Deploy(id, kinds[k], currents[i]);
+      owning.Deploy(id, kinds[k], currents[i]);
+      fp += kinds[k].IsFalsePositiveFilter();
+      fn += kinds[k].IsFalseNegativeFilter();
+    }
+  }
+  for (StreamId id = 0; id < streams; ++id) {
+    const std::string where = "stream " + std::to_string(id);
+    ExpectSameFilter(single.cell(id, 0), owning.at(id), where);
+    ExpectSameFilter(view.at(id), owning.at(id), where);
+    ExpectSameFilter(routed.at(id), owning.at(id), where);
+    // The rebuilt constraint keeps its role predicates.
+    const FilterConstraint got = view.at(id).constraint();
+    const FilterConstraint want = owning.at(id).constraint();
+    EXPECT_EQ(got.has_filter(), want.has_filter()) << where;
+    EXPECT_EQ(got.IsFalsePositiveFilter(), want.IsFalsePositiveFilter());
+    EXPECT_EQ(got.IsFalseNegativeFilter(), want.IsFalseNegativeFilter());
+  }
+  // The one-pass lane count agrees with the per-filter predicates.
+  for (const FilterBank* bank : {&view, &routed, &owning}) {
+    const SilentFilterCounts counts = bank->CountSilentFilters();
+    EXPECT_EQ(counts.false_positive, fp);
+    EXPECT_EQ(counts.false_negative, fn);
+  }
+}
+
+TEST(FilterArenaCellTest, NonEmptyInfiniteIntervalReadsBackAsNever) {
+  // Interval(+inf, +inf) is not canonicalized (lo > hi is false), so it
+  // is a non-empty interval distinct from Interval::Never(). Its lanes
+  // [+inf, +inf] are the same as the empty interval's, and the arena
+  // rebuilds them as Never(): membership of every finite value is
+  // unchanged (neither contains one), so every filter decision is too,
+  // but the cell now reads back — and counts — as a false-negative
+  // filter.
+  const Interval inf_point(kInf, kInf);
+  ASSERT_FALSE(inf_point.empty());
+  ASSERT_NE(inf_point, Interval::Never());
+  const FilterConstraint deployed = FilterConstraint::Range(inf_point);
+  ASSERT_FALSE(deployed.IsFalseNegativeFilter());
+
+  FilterArena arena(1);
+  arena.Acquire();
+  arena.Deploy(0, 0, deployed, 3.0);
+  Filter standalone;
+  standalone.Deploy(deployed, 3.0);
+
+  const Filter back = arena.cell(0, 0);
+  EXPECT_EQ(back.constraint(), FilterConstraint::FalseNegative());
+  EXPECT_TRUE(back.constraint().IsFalseNegativeFilter());
+  EXPECT_FALSE(back.reference_inside());
+  EXPECT_EQ(arena.CountSilent(0).false_negative, 1u);
+
+  Rng rng(5);
+  for (int step = 0; step < 200; ++step) {
+    const Value v = RandomValue(&rng);
+    if (step % 2 == 0) {
+      EXPECT_EQ(arena.EvaluateColumn(0, 0, v), standalone.OnValueChange(v));
+    } else {
+      arena.SyncReference(0, 0, v);
+      standalone.SyncReference(v);
+    }
+    EXPECT_EQ(arena.ReferenceInside(0, 0), standalone.reference_inside());
+  }
+}
+
+TEST(FilterArenaCellTest, RandomOpsMatchStandaloneFiltersThroughGrowth) {
+  constexpr std::size_t kStreams = 3;
+  FilterArena arena(kStreams);
+  // reference[column][stream], compacted like the arena.
+  std::vector<std::vector<Filter>> reference;
+  Rng rng(4242);
+
+  auto expect_all_cells = [&](const std::string& tag) {
+    for (std::size_t c = 0; c < reference.size(); ++c) {
+      const FilterBank view = arena.View(c);
+      for (StreamId id = 0; id < kStreams; ++id) {
+        const std::string where = tag + " column " + std::to_string(c) +
+                                  " stream " + std::to_string(id);
+        ExpectSameFilter(arena.cell(id, c), reference[c][id], where);
+        ExpectSameFilter(view.at(id), reference[c][id], where);
+      }
+    }
+  };
+  auto acquire = [&] {
+    const std::size_t c = arena.Acquire();
+    ASSERT_EQ(c, reference.size());
+    reference.emplace_back(kStreams);
+    for (StreamId id = 0; id < kStreams; ++id) {
+      const FilterConstraint constraint = RandomConstraint(&rng);
+      const Value current = RandomValue(&rng);
+      arena.Deploy(id, c, constraint, current);
+      reference.back()[id].Deploy(constraint, current);
+    }
+  };
+  auto random_ops = [&](int count) {
+    for (int step = 0; step < count; ++step) {
+      const StreamId id = static_cast<StreamId>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kStreams) - 1));
+      const std::size_t c = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(reference.size()) - 1));
+      const Value v = RandomValue(&rng);
+      switch (rng.UniformInt(0, 3)) {
+        case 0: {
+          const FilterConstraint constraint = RandomConstraint(&rng);
+          arena.Deploy(id, c, constraint, v);
+          reference[c][id].Deploy(constraint, v);
+          break;
+        }
+        case 1:
+          arena.SyncReference(id, c, v);
+          reference[c][id].SyncReference(v);
+          break;
+        case 2:
+          ASSERT_EQ(arena.EvaluateColumn(id, c, v),
+                    reference[c][id].OnValueChange(v))
+              << "step " << step;
+          break;
+        default: {
+          std::vector<std::size_t> expect;
+          for (std::size_t col = 0; col < reference.size(); ++col) {
+            if (reference[col][id].OnValueChange(v)) expect.push_back(col);
+          }
+          ASSERT_EQ(FiredColumns(arena, id, v), expect) << "step " << step;
+          break;
+        }
+      }
+    }
+  };
+
+  // Grow past the 64- and 128-column strides (each widening re-lays the
+  // lanes out) with advanced references in flight, checking every cell at
+  // each boundary.
+  for (int i = 0; i < 140; ++i) {
+    acquire();
+    random_ops(12);
+    if (reference.size() == 64 || reference.size() == 65 ||
+        reference.size() == 128 || reference.size() == 129) {
+      expect_all_cells("after growth to " + std::to_string(reference.size()));
+    }
+  }
+  expect_all_cells("grown");
+
+  // Release compaction: the last column moves into the hole.
+  for (int i = 0; i < 90; ++i) {
+    const std::size_t hole = static_cast<std::size_t>(rng.UniformInt(
+        0, static_cast<std::int64_t>(reference.size()) - 1));
+    arena.Release(hole);
+    reference[hole] = std::move(reference.back());
+    reference.pop_back();
+    random_ops(8);
+    if (i % 15 == 0) expect_all_cells("release " + std::to_string(i));
+  }
+  expect_all_cells("compacted");
+
+  // Re-grow through the recycled columns, which must come up pristine.
+  for (int i = 0; i < 80; ++i) {
+    acquire();
+    random_ops(4);
+  }
+  expect_all_cells("regrown");
 }
 
 TEST(FilterArenaKernelTest, SimdBackendIsReported) {

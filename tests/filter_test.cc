@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "filter/constraint.h"
+#include "filter/filter_arena.h"
 #include "filter/filter_bank.h"
 
 namespace asf {
@@ -169,8 +170,8 @@ TEST(FilterBankTest, DeployAndCount) {
   bank.Deploy(1, FilterConstraint::FalseNegative(), 1.0);
   bank.Deploy(2, FilterConstraint::Range(Interval(0, 1)), 0.5);
   EXPECT_EQ(bank.CountInstalled(), 3u);
-  EXPECT_EQ(bank.CountFalsePositiveFilters(), 1u);
-  EXPECT_EQ(bank.CountFalseNegativeFilters(), 1u);
+  EXPECT_EQ(bank.CountSilentFilters().false_positive, 1u);
+  EXPECT_EQ(bank.CountSilentFilters().false_negative, 1u);
 }
 
 TEST(FilterBankTest, PerStreamIndependence) {
@@ -179,23 +180,23 @@ TEST(FilterBankTest, PerStreamIndependence) {
   bank.Deploy(1, FilterConstraint::Range(Interval(0, 10)), 50);
   EXPECT_TRUE(bank.at(0).reference_inside());
   EXPECT_FALSE(bank.at(1).reference_inside());
-  EXPECT_TRUE(bank.at(0).OnValueChange(20));
-  EXPECT_FALSE(bank.at(1).OnValueChange(20));
+  EXPECT_TRUE(bank.mutable_at(0).OnValueChange(20));
+  EXPECT_FALSE(bank.mutable_at(1).OnValueChange(20));
 }
 
 // --- Stream-major SoA views (the engine's multi-query layout) ---
 
-/// Drives one owning (stride-1, the old layout) and one strided bank
-/// through the same deploy / update schedule and asserts every observable
-/// agrees — the parity guarantee the engine's stream-major flattening
-/// rests on.
-TEST(FilterBankSoaTest, StridedViewMatchesOwningLayout) {
+/// Drives one owning bank and one arena view through the same deploy /
+/// update schedule and asserts every observable agrees — the parity
+/// guarantee the engine's stream-major flattening rests on.
+TEST(FilterBankSoaTest, ArenaViewMatchesOwningLayout) {
   constexpr std::size_t kStreams = 64;
-  constexpr std::size_t kQueries = 5;   // stride of the shared storage
+  constexpr std::size_t kQueries = 5;   // columns of the shared arena
   constexpr std::size_t kViewQuery = 2; // the bank under test
 
-  std::vector<Filter> storage(kStreams * kQueries);
-  FilterBank view(&storage[kViewQuery], kQueries, kStreams);
+  FilterArena arena(kStreams);
+  for (std::size_t q = 0; q < kQueries; ++q) arena.Acquire();
+  FilterBank view = arena.View(kViewQuery);
   FilterBank owning(kStreams);
   ASSERT_EQ(view.size(), owning.size());
 
@@ -230,48 +231,49 @@ TEST(FilterBankSoaTest, StridedViewMatchesOwningLayout) {
   }
 
   EXPECT_EQ(view.CountInstalled(), owning.CountInstalled());
-  EXPECT_EQ(view.CountFalsePositiveFilters(),
-            owning.CountFalsePositiveFilters());
-  EXPECT_EQ(view.CountFalseNegativeFilters(),
-            owning.CountFalseNegativeFilters());
+  EXPECT_EQ(view.CountSilentFilters().false_positive,
+            owning.CountSilentFilters().false_positive);
+  EXPECT_EQ(view.CountSilentFilters().false_negative,
+            owning.CountSilentFilters().false_negative);
 
   // A burst of updates must fire identically filter by filter.
   for (int round = 0; round < 200; ++round) {
     const StreamId id = static_cast<StreamId>(next() % kStreams);
     const Value v = static_cast<double>(next() % 1000);
-    EXPECT_EQ(view.at(id).OnValueChange(v), owning.at(id).OnValueChange(v))
+    EXPECT_EQ(arena.EvaluateColumn(id, kViewQuery, v),
+              owning.mutable_at(id).OnValueChange(v))
         << "stream " << id << " round " << round;
     EXPECT_EQ(view.at(id).reference_inside(),
               owning.at(id).reference_inside());
   }
-  EXPECT_EQ(view.CountFalsePositiveFilters(),
-            owning.CountFalsePositiveFilters());
-  EXPECT_EQ(view.CountFalseNegativeFilters(),
-            owning.CountFalseNegativeFilters());
+  EXPECT_EQ(view.CountSilentFilters().false_positive,
+            owning.CountSilentFilters().false_positive);
+  EXPECT_EQ(view.CountSilentFilters().false_negative,
+            owning.CountSilentFilters().false_negative);
 }
 
-/// Sibling views over the same storage must not alias each other's
-/// filters: the strip of stream i holds one slot per query.
+/// Sibling views over the same arena must not alias each other's
+/// filters: the strip of stream i holds one column per query.
 TEST(FilterBankSoaTest, SiblingViewsAreIsolated) {
   constexpr std::size_t kStreams = 8;
   constexpr std::size_t kQueries = 3;
-  std::vector<Filter> storage(kStreams * kQueries);
+  FilterArena arena(kStreams);
   std::vector<FilterBank> banks;
   for (std::size_t q = 0; q < kQueries; ++q) {
-    banks.emplace_back(&storage[q], kQueries, kStreams);
+    banks.push_back(arena.View(arena.Acquire()));
   }
 
   banks[0].Deploy(4, FilterConstraint::FalsePositive(), 0.0);
   banks[2].Deploy(4, FilterConstraint::FalseNegative(), 0.0);
 
-  EXPECT_EQ(banks[0].CountFalsePositiveFilters(), 1u);
+  EXPECT_EQ(banks[0].CountSilentFilters().false_positive, 1u);
   EXPECT_EQ(banks[1].CountInstalled(), 0u);
-  EXPECT_EQ(banks[2].CountFalseNegativeFilters(), 1u);
+  EXPECT_EQ(banks[2].CountSilentFilters().false_negative, 1u);
   // The un-deployed middle query still reports every update.
-  EXPECT_TRUE(banks[1].at(4).OnValueChange(123.0));
+  EXPECT_TRUE(arena.EvaluateColumn(4, 1, 123.0));
   // ...while its silent neighbors never do.
-  EXPECT_FALSE(banks[0].at(4).OnValueChange(123.0));
-  EXPECT_FALSE(banks[2].at(4).OnValueChange(123.0));
+  EXPECT_FALSE(arena.EvaluateColumn(4, 0, 123.0));
+  EXPECT_FALSE(arena.EvaluateColumn(4, 2, 123.0));
 }
 
 }  // namespace

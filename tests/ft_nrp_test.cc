@@ -28,8 +28,8 @@ TEST(FtNrpTest, BudgetsFollowEquations3And4) {
   sys.Initialize(&proto);
   EXPECT_EQ(proto.core().n_plus(), 2u);
   EXPECT_EQ(proto.core().n_minus(), 2u);
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 2u);
-  EXPECT_EQ(sys.filters().CountFalseNegativeFilters(), 2u);
+  EXPECT_EQ(sys.filters().CountSilentFilters().false_positive, 2u);
+  EXPECT_EQ(sys.filters().CountSilentFilters().false_negative, 2u);
   EXPECT_EQ(sys.filters().CountInstalled(), 10u);
   // Initial answer is the true in-range set.
   EXPECT_EQ(proto.answer().ToSortedVector(),
@@ -139,7 +139,7 @@ TEST(FtNrpTest, ZeroToleranceDegeneratesToZtNrp) {
   EXPECT_EQ(proto.core().n_plus(), 0u);
   EXPECT_EQ(proto.core().n_minus(), 0u);
   EXPECT_TRUE(proto.core().Exhausted());
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 0u);
+  EXPECT_EQ(sys.filters().CountSilentFilters().false_positive, 0u);
   // Every crossing is reported and the answer stays exact.
   sys.SetValue(&proto, 0, 700, 1.0);
   const auto check =
@@ -167,8 +167,8 @@ TEST(FtNrpTest, RandomHeuristicSelectsBudgetedCounts) {
   FtNrp proto(sys.ctx(), RangeQuery(400, 600), FractionTolerance{0.4, 0.4},
               opts, &rng);
   sys.Initialize(&proto);
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 2u);
-  EXPECT_EQ(sys.filters().CountFalseNegativeFilters(), 2u);
+  EXPECT_EQ(sys.filters().CountSilentFilters().false_positive, 2u);
+  EXPECT_EQ(sys.filters().CountSilentFilters().false_negative, 2u);
 }
 
 TEST(FtNrpTest, ReinitWhenExhaustedRestoresBudgets) {

@@ -52,8 +52,8 @@ TEST(FtRpTest, LargerKGetsSilentFilters) {
   sys.Initialize(&proto);
   EXPECT_EQ(proto.core().n_plus(), 1u);
   EXPECT_EQ(proto.core().n_minus(), 1u);
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 1u);
-  EXPECT_EQ(sys.filters().CountFalseNegativeFilters(), 1u);
+  EXPECT_EQ(sys.filters().CountSilentFilters().false_positive, 1u);
+  EXPECT_EQ(sys.filters().CountSilentFilters().false_negative, 1u);
   EXPECT_EQ(proto.answer().size(), 20u);
 }
 

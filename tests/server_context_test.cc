@@ -72,7 +72,7 @@ TEST(ServerContextTest, DeployAllCostsOnePerStream) {
   TestSystem sys({1, 2, 3});
   sys.ctx()->DeployAll(FilterConstraint::FalsePositive());
   EXPECT_EQ(sys.stats().Total(), 3u);
-  EXPECT_EQ(sys.filters().CountFalsePositiveFilters(), 3u);
+  EXPECT_EQ(sys.filters().CountSilentFilters().false_positive, 3u);
 }
 
 TEST(ServerContextTest, RecordReportRefreshesCacheWithoutMessages) {

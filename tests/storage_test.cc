@@ -267,6 +267,25 @@ TEST_F(StorageTest, RecordRoundTripAcrossPageBoundaries) {
   ASSERT_TRUE(records.Free(*ref).ok());
 }
 
+// Regression: reading back a zero-length record once handed memcpy the
+// null data() of the empty output vector (UBSan: null pointer passed as
+// argument declared nonnull).
+TEST_F(StorageTest, ZeroLengthRecordRoundTrip) {
+  auto store = PageStore::Create(path_, 128);
+  ASSERT_TRUE(store.ok());
+  BufferPool pool(store->get(), 2, ReplacementPolicy::kLru);
+  PagedRecordStore records(&pool);
+
+  auto ref = records.Write({});
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_TRUE(ref->valid());
+  EXPECT_EQ(ref->bytes, 0u);
+  auto back = records.Read(*ref);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->empty());
+  ASSERT_TRUE(records.Free(*ref).ok());
+}
+
 TEST_F(StorageTest, ManyRecordsWithTinyPool) {
   auto store = PageStore::Create(path_, 128);
   ASSERT_TRUE(store.ok());

@@ -43,7 +43,7 @@ class TestSystem {
   /// reported.
   bool SetValue(Protocol* protocol, StreamId id, Value v, SimTime t) {
     values_[id] = v;
-    if (!filters_.at(id).OnValueChange(v)) return false;
+    if (!filters_.mutable_at(id).OnValueChange(v)) return false;
     stats_.Count(MessageType::kValueUpdate);
     protocol->HandleUpdate(id, v, t);
     return true;
@@ -55,7 +55,7 @@ class TestSystem {
   template <typename Handler>
   bool SetValueInto(Handler&& handler, StreamId id, Value v, SimTime t = 0) {
     values_[id] = v;
-    if (!filters_.at(id).OnValueChange(v)) return false;
+    if (!filters_.mutable_at(id).OnValueChange(v)) return false;
     stats_.Count(MessageType::kValueUpdate);
     handler(id, v, t);
     return true;
@@ -65,7 +65,7 @@ class TestSystem {
   /// behind a silent filter, or pre-query warm-up).
   void SetValueSilently(StreamId id, Value v) {
     values_[id] = v;
-    const bool fired = filters_.at(id).OnValueChange(v);
+    const bool fired = filters_.mutable_at(id).OnValueChange(v);
     ASF_CHECK_MSG(!fired, "SetValueSilently crossed the filter");
   }
 
@@ -74,14 +74,14 @@ class TestSystem {
     Transport t;
     t.probe = [this](StreamId id) {
       const Value v = values_[id];
-      filters_.at(id).SyncReference(v);
+      filters_.mutable_at(id).SyncReference(v);
       return v;
     };
     t.region_probe = [this](StreamId id,
                             const Interval& region) -> std::optional<Value> {
       const Value v = values_[id];
       if (!region.Contains(v)) return std::nullopt;
-      filters_.at(id).SyncReference(v);
+      filters_.mutable_at(id).SyncReference(v);
       return v;
     };
     t.deploy = [this](StreamId id, const FilterConstraint& constraint) {
