@@ -48,6 +48,39 @@ void ExpectSameStats(const MultiQueryResult::PerQuery& a,
   EXPECT_EQ(a.retired_at, b.retired_at);
 }
 
+void ExpectSameNet(const NetStats& a, const NetStats& b) {
+  EXPECT_EQ(a.crossings, b.crossings);
+  EXPECT_EQ(a.update_messages, b.update_messages);
+  EXPECT_EQ(a.update_payloads, b.update_payloads);
+  EXPECT_EQ(a.delivered_crossings, b.delivered_crossings);
+  EXPECT_EQ(a.deploy_messages, b.deploy_messages);
+  EXPECT_EQ(a.control_rpcs, b.control_rpcs);
+  EXPECT_EQ(a.dropped_retired, b.dropped_retired);
+  EXPECT_EQ(a.deploy_dropped_retired, b.deploy_dropped_retired);
+  EXPECT_EQ(a.in_flight_at_end, b.in_flight_at_end);
+  EXPECT_EQ(a.in_flight_crossings_at_end, b.in_flight_crossings_at_end);
+  EXPECT_EQ(a.dropped_loss, b.dropped_loss);
+  EXPECT_EQ(a.dropped_partition, b.dropped_partition);
+  EXPECT_EQ(a.suppressed_stale, b.suppressed_stale);
+  EXPECT_EQ(a.deploy_attempts, b.deploy_attempts);
+  EXPECT_EQ(a.deploy_retransmits, b.deploy_retransmits);
+  EXPECT_EQ(a.deploy_dropped, b.deploy_dropped);
+  EXPECT_EQ(a.deploy_acks, b.deploy_acks);
+  EXPECT_EQ(a.deploy_dup_suppressed, b.deploy_dup_suppressed);
+  EXPECT_EQ(a.deploy_stale_acks, b.deploy_stale_acks);
+  EXPECT_EQ(a.deploy_unacked_at_end, b.deploy_unacked_at_end);
+  EXPECT_EQ(a.probe_retransmits, b.probe_retransmits);
+  EXPECT_EQ(a.probe_failovers, b.probe_failovers);
+  EXPECT_EQ(a.reconcile_exchanges, b.reconcile_exchanges);
+  EXPECT_EQ(a.reconcile_deploys, b.reconcile_deploys);
+  EXPECT_EQ(a.delay.count(), b.delay.count());
+  EXPECT_EQ(a.delay.mean(), b.delay.mean());
+  EXPECT_EQ(a.delay.max(), b.delay.max());
+  EXPECT_EQ(a.queue_depth.count(), b.queue_depth.count());
+  EXPECT_EQ(a.queue_depth.mean(), b.queue_depth.mean());
+  EXPECT_EQ(a.queue_depth.max(), b.queue_depth.max());
+}
+
 void ExpectSameResult(const MultiQueryResult& serial,
                       const MultiQueryResult& sharded,
                       const std::string& label) {
@@ -339,6 +372,70 @@ TEST(ShardedCoreTest, IndexDispatchByteIdenticalUnderBatchedDelivery) {
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     ExpectSameResult(*scan, *index,
                      "batched index shards=" + std::to_string(shards));
+  }
+}
+
+// An open population large enough that auto dispatch crosses its
+// default crossover (256 live columns) both ways, over a mix of the range
+// and k-NN protocols, with retired queries spilled to disk.
+TEST(ShardedCoreTest, DispatchPoliciesByteIdenticalOnSpilledChurn) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 120;
+  walk.seed = 5;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 600;
+  config.seed = 5;
+  config.oracle.sample_interval = 120;
+  config.spill.dir = ::testing::TempDir();
+
+  ChurnSpec spec;
+  spec.arrival_rate = 2.0;
+  spec.mean_lifetime = 150;
+  spec.seed = 5;
+  ChurnMixEntry ft_nrp;
+  ft_nrp.eps_plus = 0.3;
+  ft_nrp.eps_minus = 0.3;
+  ChurnMixEntry zt_nrp;
+  zt_nrp.protocol = ProtocolKind::kZtNrp;
+  ChurnMixEntry rtp;
+  rtp.protocol = ProtocolKind::kRtp;
+  rtp.query_type = QuerySpec::Type::kRank;
+  rtp.k = 10;
+  rtp.rank_r = 5;
+  spec.mix = {ft_nrp, zt_nrp, rtp};
+  auto deployments = ExpandChurn(spec, config.duration);
+  ASSERT_TRUE(deployments.ok());
+  config.queries = std::move(deployments).value();
+
+  config.dispatch = DispatchPolicy::kScan;
+  auto scan = RunMultiQuerySystem(config);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_GT(scan->spill.records_spilled, 0u);
+  EXPECT_GT(scan->peak_live_queries, kDefaultAutoCrossover);
+  const DispatchPolicy policies[] = {DispatchPolicy::kIndex,
+                                     DispatchPolicy::kAuto};
+  for (DispatchPolicy policy : policies) {
+    config.dispatch = policy;
+    for (std::size_t shards : {1u, 4u}) {
+      config.shards = shards;
+      const std::string label = "spilled churn dispatch=" +
+                                std::string(DispatchPolicyName(policy)) +
+                                " shards=" + std::to_string(shards);
+      SCOPED_TRACE(label);
+      auto run = RunMultiQuerySystem(config);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ExpectSameResult(*scan, *run, label);
+      ExpectSameNet(scan->net, run->net);
+      EXPECT_EQ(scan->spill.records_spilled, run->spill.records_spilled);
+      EXPECT_EQ(scan->spill.records_faulted, run->spill.records_faulted);
+      // Auto must serve this population through both paths. ASF_DISPATCH
+      // may override an auto config, so check the mix only when auto ran.
+      if (run->dispatch_policy == DispatchPolicy::kAuto) {
+        EXPECT_GT(run->dispatch.scan_dispatches, 0u);
+        EXPECT_GT(run->dispatch.index_dispatches, 0u);
+      }
+    }
   }
 }
 
