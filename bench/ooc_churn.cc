@@ -1,23 +1,24 @@
 /// Out-of-core churn bench (DESIGN.md §13) — resident footprint and
-/// buffer-pool behavior when the cumulative query population dwarfs the
-/// peak live population.
+/// spill-log volume when the cumulative query population dwarfs the peak
+/// live population.
 ///
 /// Workload: a long-horizon churn schedule (Poisson arrivals with short
 /// exponential lifetimes) whose cumulative deployment count is >= 20x
 /// the peak live count. In-memory, the engine's resident state scales
 /// with peak live (lazy slot wiring + spill-on-retire keep pre-deploy
 /// and post-retire slots skeletal); with --spill the closed books move
-/// to a page file through the buffer pool, whose size caps the RAM the
+/// to an append-only scratch log whose write buffer caps the RAM the
 /// cold state may occupy.
 ///
-/// The table sweeps pool sizes and replacement policies, reporting the
-/// pool hit rate, resident frame bytes (the fixed cold-state ceiling),
-/// and spill volume — and asserts that every spilled run reproduces the
-/// in-memory run exactly (the byte-identity contract).
+/// One spilled run is compared against the in-memory run: the bench
+/// reports the records and payload bytes spilled, the log length (equal
+/// to the payload — records are packed, no page padding) and the
+/// resident write-buffer bytes, and asserts the spilled run reproduces
+/// the in-memory run exactly (the byte-identity contract).
 ///
 /// Writes BENCH_ooc_churn.json by default (--json=PATH to override,
-/// --json= to disable). CI gates spill_identical and the large-pool hit
-/// rate as a floor (see .github/workflows/ci.yml).
+/// --json= to disable). CI gates spill_identical, the cumulative/peak
+/// ratio and a file_bytes ceiling (see .github/workflows/ci.yml).
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,7 +30,6 @@
 #include "engine/churn.h"
 #include "engine/multi_system.h"
 #include "metrics/table.h"
-#include "storage/buffer_pool.h"
 
 namespace asf {
 namespace {
@@ -73,22 +73,16 @@ bool SameResults(const MultiQueryResult& a, const MultiQueryResult& b) {
   return true;
 }
 
-struct PoolPoint {
-  std::size_t buffer_pages;
-  storage::ReplacementPolicy policy;
-};
-
 int Main(int argc, char** argv) {
   const double scale = bench::Scale();
   const SimTime duration = 6000 * scale;
 
   std::printf("=== ooc_churn ===\n");
   std::printf("long-horizon churn: cumulative queries >> peak live; "
-              "retired state spills to a page file through a buffer "
-              "pool\n");
-  std::printf("expect: identical results for every pool size/policy; hit "
-              "rate rises with pool size; resident frame bytes = pool "
-              "size, independent of cumulative volume\n\n");
+              "retired state spills to an append-only scratch log\n");
+  std::printf("expect: identical results; file bytes = spilled bytes; "
+              "resident bytes = one write buffer, independent of "
+              "cumulative volume\n\n");
 
   ChurnSpec spec;
   spec.arrival_rate = 0.25;
@@ -116,61 +110,35 @@ int Main(int argc, char** argv) {
   std::printf("cumulative queries: %zu, peak live: %zu (%.1fx)\n\n",
               cumulative, peak, cumulative_over_peak);
 
-  const PoolPoint points[] = {
-      {4, storage::ReplacementPolicy::kLru},
-      {32, storage::ReplacementPolicy::kLru},
-      {32, storage::ReplacementPolicy::kFifo},
-      {4096, storage::ReplacementPolicy::kLru},
-  };
+  MultiQueryConfig config = base;
+  config.spill.dir = ScratchDir();
+  auto spilled = RunMultiQuerySystem(config);
+  ASF_CHECK_MSG(spilled.ok(), spilled.status().ToString().c_str());
+  const bool identical = SameResults(*in_memory, *spilled);
+  const SpillTelemetry& t = spilled->spill;
 
-  TextTable table({"pool_pages", "policy", "hit_rate", "resident_bytes",
-                   "records", "spilled_bytes", "file_bytes", "identical",
-                   "wall_s"});
-  std::vector<std::pair<std::string, double>> metrics = {
+  TextTable table({"records", "spilled_bytes", "file_bytes",
+                   "resident_bytes", "identical", "wall_s"});
+  table.AddRow({Fmt("%llu", (unsigned long long)t.records_spilled),
+                Fmt("%llu", (unsigned long long)t.spilled_bytes),
+                Fmt("%llu", (unsigned long long)t.file_bytes),
+                Fmt("%llu", (unsigned long long)t.pool_resident_bytes),
+                identical ? "yes" : "NO",
+                Fmt("%.3f", spilled->wall_seconds)});
+  const std::vector<std::pair<std::string, double>> metrics = {
       {"cumulative_queries", static_cast<double>(cumulative)},
       {"peak_live", static_cast<double>(peak)},
       {"cumulative_over_peak", cumulative_over_peak},
+      {"records", static_cast<double>(t.records_spilled)},
+      {"spilled_bytes", static_cast<double>(t.spilled_bytes)},
+      {"file_bytes", static_cast<double>(t.file_bytes)},
+      {"resident_bytes", static_cast<double>(t.pool_resident_bytes)},
+      {"wall_seconds", spilled->wall_seconds},
+      {"spill_identical", identical ? 1.0 : 0.0},
   };
-  bool all_identical = true;
-  for (const PoolPoint& point : points) {
-    MultiQueryConfig config = base;
-    config.spill.dir = ScratchDir();
-    config.spill.buffer_pages = point.buffer_pages;
-    config.spill.replacement = point.policy;
-    auto spilled = RunMultiQuerySystem(config);
-    ASF_CHECK_MSG(spilled.ok(), spilled.status().ToString().c_str());
-
-    const bool identical = SameResults(*in_memory, *spilled);
-    all_identical = all_identical && identical;
-    const SpillTelemetry& t = spilled->spill;
-    table.AddRow({Fmt("%zu", point.buffer_pages),
-                  std::string(storage::ReplacementPolicyName(point.policy)),
-                  Fmt("%.3f", t.PoolHitRate()),
-                  Fmt("%llu", (unsigned long long)t.pool_resident_bytes),
-                  Fmt("%llu", (unsigned long long)t.records_spilled),
-                  Fmt("%llu", (unsigned long long)t.spilled_bytes),
-                  Fmt("%llu", (unsigned long long)t.file_bytes),
-                  identical ? "yes" : "NO",
-                  Fmt("%.3f", spilled->wall_seconds)});
-
-    const std::string prefix =
-        Fmt("bp%zu_%s", point.buffer_pages,
-            std::string(storage::ReplacementPolicyName(point.policy)).c_str());
-    metrics.emplace_back(prefix + "_hit_rate", t.PoolHitRate());
-    metrics.emplace_back(prefix + "_resident_bytes",
-                         static_cast<double>(t.pool_resident_bytes));
-    metrics.emplace_back(prefix + "_records",
-                         static_cast<double>(t.records_spilled));
-    metrics.emplace_back(prefix + "_spilled_bytes",
-                         static_cast<double>(t.spilled_bytes));
-    metrics.emplace_back(prefix + "_file_bytes",
-                         static_cast<double>(t.file_bytes));
-    metrics.emplace_back(prefix + "_wall_seconds", spilled->wall_seconds);
-  }
-  metrics.emplace_back("spill_identical", all_identical ? 1.0 : 0.0);
   std::printf("%s", table.ToString().c_str());
-  std::printf("\nall spilled runs identical to in-memory: %s\n",
-              all_identical ? "yes" : "NO");
+  std::printf("\nspilled run identical to in-memory: %s\n",
+              identical ? "yes" : "NO");
   bench::MaybeWriteCsv(table, "ooc_churn");
 
   return bench::FinishMicroBench(argc, argv, "BENCH_ooc_churn.json",

@@ -8,7 +8,7 @@
 #include "engine/sim_core.h"
 #include "filter/filter_arena.h"
 #include "net/network_model.h"
-#include "storage/record_store.h"
+#include "storage/spill_log.h"
 
 /// \file
 /// The per-query server runtime shared by the serial and sharded engines.
@@ -60,8 +60,8 @@ struct QuerySlot {
   std::vector<std::uint64_t> update_seq_floor;
 
   /// Out-of-core state (engine/spill.h). After a spilling retire, the
-  /// closed stats record lives on pages behind `spilled` and the hot
-  /// members above are dropped; `stats_resident` flips back to true when
+  /// closed stats record lives in the spill log behind `spilled` and the
+  /// hot members above are dropped; `stats_resident` flips back to true when
   /// query_stats() faults the record in. valid() spilled + resident means
   /// both copies exist and the in-memory one is authoritative.
   storage::RecordRef spilled;

@@ -275,7 +275,7 @@ class ShardedSimulationCore {
   std::vector<std::unique_ptr<Slot>> slots_;
   /// Out-of-core endpoint for retired-query state; null when disabled.
   /// Driven by the coordinator only (retires run at barriers, faults at
-  /// result assembly), matching the PageStore's single-thread contract.
+  /// result assembly), matching the SpillLog's single-thread contract.
   std::unique_ptr<engine_internal::QueryStateSpiller> spiller_;
   std::vector<std::size_t> column_owner_;
   std::size_t epoch_live_ = 0;  ///< live columns during this epoch

@@ -9,16 +9,17 @@
 #include "engine/query_slot.h"
 #include "engine/sim_core.h"
 #include "engine/spill_config.h"
-#include "storage/record_store.h"
+#include "storage/spill_log.h"
 
 /// \file
 /// Out-of-core retired-query state (DESIGN.md §13). When a query retires
 /// its books are closed — the window record and final QueryRunStats
 /// (including the answer-size and update-delay accumulators, the run's
 /// per-query trace) never change again. With spilling enabled the engine
-/// serializes that cold record to pages, drops the in-memory copies, and
-/// faults the record back through the buffer pool only when someone asks
-/// (result flattening, the churn table). The FilterArena and every live
+/// appends that cold record to an unlinked scratch log, drops the
+/// in-memory copies, and reads the record back only when someone asks
+/// (result flattening, the churn table) — each record is written once and
+/// read once, so the log needs no cache. The FilterArena and every live
 /// slot stay 100% hot: only closed books ever touch disk, which is the
 /// whole determinism argument — a spilled run and an in-memory run
 /// execute the exact same events and differ only in where finished
@@ -33,39 +34,32 @@ namespace engine_internal {
 std::vector<std::uint8_t> EncodeQueryRecord(const QueryRunStats& stats);
 QueryRunStats DecodeQueryRecord(const std::vector<std::uint8_t>& bytes);
 
-/// One engine's spill endpoint: a scratch PageStore (unique file under
-/// config.dir, removed on destruction), the BufferPool over it, and the
-/// record-chain codec. Created only when SpillConfig::enabled(); the
-/// config must already be validated — construction CHECKs.
+/// One engine's spill endpoint: a SpillLog under config.dir (unlinked at
+/// open, so nothing outlives the run) plus the record codec. Created only
+/// when SpillConfig::enabled(); the config must already be validated —
+/// construction CHECKs.
 class QueryStateSpiller {
  public:
-  /// `tag` distinguishes scratch files of concurrent runs in one dir
-  /// (e.g. "serial"/"sharded"); the file name also carries the pid and a
-  /// process-wide counter.
+  /// `tag` ("serial"/"sharded") names the log's short-lived scratch file.
   static std::unique_ptr<QueryStateSpiller> Create(const SpillConfig& config,
                                                    const std::string& tag);
-
-  /// Removes the scratch page file.
-  ~QueryStateSpiller();
 
   QueryStateSpiller(const QueryStateSpiller&) = delete;
   QueryStateSpiller& operator=(const QueryStateSpiller&) = delete;
 
-  /// Serializes `stats` to a fresh page chain. I/O failures CHECK — the
-  /// scratch file was validated writable at construction.
+  /// Serializes `stats` onto the end of the log. I/O failures CHECK — the
+  /// scratch dir was validated writable before construction.
   storage::RecordRef Spill(const QueryRunStats& stats);
 
-  /// Faults a spilled record back through the pool.
+  /// Reads a spilled record back.
   QueryRunStats Fault(const storage::RecordRef& ref);
 
-  /// Run-level telemetry snapshot (record counts + pool + store).
+  /// Run-level telemetry snapshot (record counts + log size).
   SpillTelemetry Telemetry() const;
-
-  storage::BufferPool& pool() { return *pool_; }
 
   /// Observability attachment (DESIGN.md §14): spill/fault trace events
   /// on ring `ring` stamped with `clock->now()`, and kSpillIo profiler
-  /// scopes around the page I/O. All-null (the default) = off. The clock
+  /// scopes around the log I/O. All-null (the default) = off. The clock
   /// is read-only — tracing never schedules anything.
   void set_obs(obs::Tracer* tracer, std::uint16_t ring,
                obs::Profiler* profiler, const Scheduler* clock) {
@@ -76,13 +70,10 @@ class QueryStateSpiller {
   }
 
  private:
-  QueryStateSpiller(const SpillConfig& config,
-                    std::unique_ptr<storage::PageStore> store);
+  QueryStateSpiller(const SpillConfig& config, const std::string& tag)
+      : log_(config.dir, tag) {}
 
-  SpillConfig config_;
-  std::unique_ptr<storage::PageStore> store_;
-  std::unique_ptr<storage::BufferPool> pool_;
-  std::unique_ptr<storage::PagedRecordStore> records_;
+  storage::SpillLog log_;
   std::uint64_t records_spilled_ = 0;
   std::uint64_t records_faulted_ = 0;
   std::uint64_t spilled_bytes_ = 0;
@@ -95,7 +86,7 @@ class QueryStateSpiller {
 };
 
 /// Spills a retired slot's closed books and drops every in-memory copy:
-/// the stats record goes to pages, and the slot's heavy runtime —
+/// the stats record goes to the log, and the slot's heavy runtime —
 /// protocol, server context, RNG, detached filter bank, the deployment
 /// record, the per-stream seq floors — is freed. Every post-retirement
 /// delivery/oracle/reconcile path gates on slot.live first, so nothing

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "storage/buffer_pool.h"
 
 /// \file
 /// Configuration and telemetry of the out-of-core query-state spill path
@@ -15,17 +14,12 @@
 
 namespace asf {
 
-/// Where and how retired-query state spills to disk. Disabled (the
-/// default) keeps everything in RAM — byte-identical results either way;
-/// spilling only changes where closed books are stored.
+/// Where retired-query state spills to disk. Disabled (the default)
+/// keeps everything in RAM — byte-identical results either way; spilling
+/// only changes where closed books are stored.
 struct SpillConfig {
-  /// Scratch directory for the page file; empty = spilling disabled.
+  /// Scratch directory for the spill log; empty = spilling disabled.
   std::string dir;
-  /// Buffer pool frames. >= 2 (record writing keeps two pages pinned
-  /// while linking a chain).
-  std::size_t buffer_pages = 64;
-  storage::ReplacementPolicy replacement = storage::ReplacementPolicy::kLru;
-  std::size_t page_size = storage::kDefaultPageSize;
 
   bool enabled() const { return !dir.empty(); }
 
@@ -35,28 +29,18 @@ struct SpillConfig {
 /// Spill-path accounting a run reports (all zero when spilling is off).
 struct SpillTelemetry {
   bool enabled = false;
-  std::uint64_t records_spilled = 0;  ///< retired slots written to pages
+  std::uint64_t records_spilled = 0;  ///< retired slots written to the log
   std::uint64_t records_faulted = 0;  ///< records read back on demand
   std::uint64_t spilled_bytes = 0;    ///< serialized payload bytes written
   std::uint64_t faulted_bytes = 0;    ///< serialized payload bytes read
 
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-  std::uint64_t pool_evictions = 0;
-  std::uint64_t pool_write_backs = 0;
-  /// RAM the pool holds for cold state (frames * page_size) — the fixed
-  /// ceiling that replaces cumulative growth.
+  /// RAM the spill path holds for cold state: the spill log's write-buffer
+  /// capacity (storage::SpillLog::kBufferBytes) — a fixed ceiling,
+  /// however many records spill.
   std::uint64_t pool_resident_bytes = 0;
-  /// Bytes the backing page file occupies on disk.
+  /// Length of the spill log. Records are packed back to back, so this
+  /// equals spilled_bytes.
   std::uint64_t file_bytes = 0;
-
-  std::size_t buffer_pages = 0;
-  std::string replacement;  ///< "lru" / "fifo" / "" when disabled
-
-  double PoolHitRate() const {
-    const std::uint64_t total = pool_hits + pool_misses;
-    return total == 0 ? 0.0 : static_cast<double>(pool_hits) / total;
-  }
 };
 
 }  // namespace asf

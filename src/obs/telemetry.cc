@@ -25,34 +25,19 @@ void TelemetryBlock::AppendMetrics(
 TelemetryBlock SpillTelemetryBlock(const SpillTelemetry& spill) {
   TelemetryBlock block;
   if (!spill.enabled) return block;
-  block.Row("spill pool", Fmt("%zu pages (%s)", spill.buffer_pages,
-                              spill.replacement.c_str()));
   block.Row("spill records out / back",
             Fmt("%llu / %llu", (unsigned long long)spill.records_spilled,
                 (unsigned long long)spill.records_faulted));
   block.Row("spill bytes out / back",
             Fmt("%llu / %llu", (unsigned long long)spill.spilled_bytes,
                 (unsigned long long)spill.faulted_bytes));
-  block.Row("spill pool hit rate",
-            Fmt("%.3f (%llu hits, %llu misses)", spill.PoolHitRate(),
-                (unsigned long long)spill.pool_hits,
-                (unsigned long long)spill.pool_misses));
-  block.Row("spill evictions / write-backs",
-            Fmt("%llu / %llu", (unsigned long long)spill.pool_evictions,
-                (unsigned long long)spill.pool_write_backs));
   block.Row("spill resident / file bytes",
             Fmt("%llu / %llu", (unsigned long long)spill.pool_resident_bytes,
                 (unsigned long long)spill.file_bytes));
 
-  block.Metric("spill_buffer_pages", static_cast<double>(spill.buffer_pages));
   block.Metric("spill_records", static_cast<double>(spill.records_spilled));
   block.Metric("spill_faults", static_cast<double>(spill.records_faulted));
   block.Metric("spill_bytes", static_cast<double>(spill.spilled_bytes));
-  block.Metric("spill_pool_hit_rate", spill.PoolHitRate());
-  block.Metric("spill_pool_evictions",
-               static_cast<double>(spill.pool_evictions));
-  block.Metric("spill_pool_write_backs",
-               static_cast<double>(spill.pool_write_backs));
   block.Metric("spill_resident_bytes",
                static_cast<double>(spill.pool_resident_bytes));
   block.Metric("spill_file_bytes", static_cast<double>(spill.file_bytes));

@@ -60,7 +60,7 @@ class TelemetryBlock {
   std::vector<std::pair<std::string, double>> metrics_;
 };
 
-/// Spill-path telemetry: six "spill ..." rows + nine spill_* metrics.
+/// Spill-path telemetry: three "spill ..." rows + five spill_* metrics.
 /// Empty when spilling is disabled.
 TelemetryBlock SpillTelemetryBlock(const SpillTelemetry& spill);
 

@@ -10,9 +10,9 @@
 #include "engine/system.h"
 
 // Out-of-core query state (DESIGN.md §13): the spilled-record codec must
-// be bit-exact, and a run that spills retired state through any buffer
-// pool configuration must produce results identical to the all-in-RAM
-// run — the pool only changes where closed books are parked.
+// be bit-exact, and a run that spills retired state to the spill log must
+// produce results identical to the all-in-RAM run, serial and sharded —
+// the log only changes where closed books are parked.
 
 namespace asf {
 namespace {
@@ -27,13 +27,6 @@ TEST(SpillConfigTest, DisabledByDefault) {
   SpillConfig config;
   EXPECT_FALSE(config.enabled());
   EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(SpillConfigTest, RejectsTinyPool) {
-  SpillConfig config;
-  config.dir = SpillDir();
-  config.buffer_pages = 1;  // record chains keep two pages pinned
-  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(SpillConfigTest, RejectsUnwritableDir) {
@@ -122,19 +115,20 @@ TEST(SpillCodecTest, DefaultStatsRoundTrip) {
                             engine_internal::EncodeQueryRecord(stats)));
 }
 
-// --- Spiller over a real page file ---
+// --- Spiller over a real spill log ---
 
 TEST(SpillerTest, SpillAndFaultManyRecords) {
   SpillConfig config;
   config.dir = SpillDir();
-  config.buffer_pages = 2;  // forces eviction traffic
-  config.page_size = 256;
   ASSERT_TRUE(config.Validate().ok());
   auto spiller = engine_internal::QueryStateSpiller::Create(config, "test");
 
+  // Enough records to overflow the log's write buffer several times, so
+  // the faults below read both flushed and still-buffered records.
+  constexpr int kRecords = 600;
   std::vector<storage::RecordRef> refs;
   std::vector<QueryRunStats> originals;
-  for (int i = 0; i < 30; ++i) {
+  for (int i = 0; i < kRecords; ++i) {
     QueryRunStats stats = SampleStats();
     stats.name = "q" + std::to_string(i);
     stats.updates_reported = 1000 + i;
@@ -148,11 +142,13 @@ TEST(SpillerTest, SpillAndFaultManyRecords) {
   }
   const SpillTelemetry telemetry = spiller->Telemetry();
   EXPECT_TRUE(telemetry.enabled);
-  EXPECT_EQ(telemetry.records_spilled, 30u);
-  EXPECT_EQ(telemetry.records_faulted, 30u);
+  EXPECT_EQ(telemetry.records_spilled, std::uint64_t{kRecords});
+  EXPECT_EQ(telemetry.records_faulted, std::uint64_t{kRecords});
   EXPECT_EQ(telemetry.spilled_bytes, telemetry.faulted_bytes);
-  EXPECT_GT(telemetry.pool_evictions, 0u);
-  EXPECT_EQ(telemetry.replacement, "lru");
+  EXPECT_GT(telemetry.spilled_bytes, storage::SpillLog::kBufferBytes);
+  // No padding: the log holds exactly the payload bytes.
+  EXPECT_EQ(telemetry.file_bytes, telemetry.spilled_bytes);
+  EXPECT_EQ(telemetry.pool_resident_bytes, storage::SpillLog::kBufferBytes);
 }
 
 // --- Whole-run equivalence: spill vs in-memory, byte-identical ---
@@ -205,8 +201,10 @@ MultiQueryConfig ChurnConfig() {
   config.oracle.sample_interval = 120;
 
   ChurnSpec spec;
-  spec.arrival_rate = 0.08;
-  spec.mean_lifetime = 120;
+  // Enough retired queries to overflow the spill log's write buffer, so
+  // result assembly reads records back from the file and the buffer.
+  spec.arrival_rate = 0.3;
+  spec.mean_lifetime = 60;
   spec.seed = 44;
   auto queries = ExpandChurn(spec, config.duration);
   EXPECT_TRUE(queries.ok());
@@ -214,69 +212,88 @@ MultiQueryConfig ChurnConfig() {
   return config;
 }
 
-TEST(SpillEquivalenceTest, ChurnAcrossPoolSizesPoliciesAndShards) {
+TEST(SpillEquivalenceTest, ChurnAcrossShards) {
   const MultiQueryConfig base = ChurnConfig();
   auto in_memory = RunMultiQuerySystem(base);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
   EXPECT_FALSE(in_memory->spill.enabled);
 
-  for (const std::size_t buffer_pages : {std::size_t{2}, std::size_t{64}}) {
-    for (const auto policy :
-         {storage::ReplacementPolicy::kLru, storage::ReplacementPolicy::kFifo}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-        MultiQueryConfig config = base;
-        config.spill.dir = SpillDir();
-        config.spill.buffer_pages = buffer_pages;
-        config.spill.replacement = policy;
-        config.spill.page_size = 512;  // small pages force multi-page chains
-        config.shards = shards;
-        auto spilled = RunMultiQuerySystem(config);
-        ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-        ExpectSameResult(
-            *in_memory, *spilled,
-            "pages=" + std::to_string(buffer_pages) + " policy=" +
-                std::string(storage::ReplacementPolicyName(policy)) +
-                " shards=" + std::to_string(shards));
-        EXPECT_TRUE(spilled->spill.enabled);
-        EXPECT_GT(spilled->spill.records_spilled, 0u);
-        // Everything the result table shows was faulted back.
-        EXPECT_EQ(spilled->spill.records_faulted,
-                  spilled->spill.records_spilled);
-        EXPECT_EQ(spilled->spill.buffer_pages, buffer_pages);
-      }
-    }
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    MultiQueryConfig config = base;
+    config.spill.dir = SpillDir();
+    config.shards = shards;
+    auto spilled = RunMultiQuerySystem(config);
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    ExpectSameResult(*in_memory, *spilled,
+                     "shards=" + std::to_string(shards));
+    EXPECT_TRUE(spilled->spill.enabled);
+    EXPECT_GT(spilled->spill.records_spilled, 0u);
+    // Everything the result table shows was faulted back.
+    EXPECT_EQ(spilled->spill.records_faulted,
+              spilled->spill.records_spilled);
+    EXPECT_EQ(spilled->spill.file_bytes, spilled->spill.spilled_bytes);
+    EXPECT_GT(spilled->spill.spilled_bytes, storage::SpillLog::kBufferBytes);
   }
 }
 
-TEST(SpillEquivalenceTest, SingleQuerySystemRun) {
-  SystemConfig config;
-  RandomWalkConfig walk;
-  walk.num_streams = 120;
-  walk.seed = 9;
-  config.source = SourceSpec::Walk(walk);
-  config.duration = 500;
-  config.seed = 9;
-  config.query = QuerySpec::Range(420, 580);
-  config.protocol = ProtocolKind::kFtNrp;
-  config.fraction = {0.2, 0.2};
+void ExpectSameRun(const RunResult& a, const RunResult& b,
+                   const std::string& label) {
+  SCOPED_TRACE(label);
+  for (int p = 0; p < kNumMessagePhases; ++p) {
+    for (int t = 0; t < kNumMessageTypes; ++t) {
+      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
+                                 static_cast<MessageType>(t)),
+                b.messages.count(static_cast<MessagePhase>(p),
+                                 static_cast<MessageType>(t)));
+    }
+  }
+  EXPECT_EQ(a.updates_generated, b.updates_generated);
+  EXPECT_EQ(a.updates_reported, b.updates_reported);
+  EXPECT_EQ(a.reinits, b.reinits);
+  EXPECT_EQ(a.fp_filters_installed, b.fp_filters_installed);
+  EXPECT_EQ(a.fn_filters_installed, b.fn_filters_installed);
+  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
+  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
+  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
+  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
+  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
+  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
+  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
+}
 
-  auto in_memory = RunSystem(config);
-  ASSERT_TRUE(in_memory.ok());
+// A static query is live until the horizon, so it never leaves the hot
+// set: only *retired* queries spill. The run must still accept (and
+// validate) the spill configuration and print the same results, for the
+// NRP protocols, serial and sharded.
+TEST(SpillEquivalenceTest, StaticQueryAcrossProtocolsAndShards) {
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kZtNrp, ProtocolKind::kFtNrp}) {
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+      SystemConfig config;
+      RandomWalkConfig walk;
+      walk.num_streams = 500;
+      config.source = SourceSpec::Walk(walk);
+      config.duration = 900;
+      config.query = QuerySpec::Range(400, 600);
+      config.protocol = protocol;
+      config.fraction = {0.2, 0.2};
+      config.oracle.sample_interval = 120;
+      config.shards = shards;
 
-  config.spill.dir = SpillDir();
-  config.spill.buffer_pages = 2;
-  auto spilled = RunSystem(config);
-  ASSERT_TRUE(spilled.ok());
+      auto in_memory = RunSystem(config);
+      ASSERT_TRUE(in_memory.ok());
+      config.spill.dir = SpillDir();
+      auto spilled = RunSystem(config);
+      ASSERT_TRUE(spilled.ok());
 
-  EXPECT_EQ(in_memory->MaintenanceMessages(), spilled->MaintenanceMessages());
-  EXPECT_EQ(in_memory->updates_reported, spilled->updates_reported);
-  EXPECT_EQ(in_memory->answer_size.mean(), spilled->answer_size.mean());
-  EXPECT_EQ(in_memory->answer_size.count(), spilled->answer_size.count());
-  EXPECT_TRUE(spilled->spill.enabled);
-  // A static query is live until the horizon, so it never leaves the hot
-  // set: only *retired* queries spill. The run must still accept (and
-  // validate) the spill configuration.
-  EXPECT_EQ(spilled->spill.records_spilled, 0u);
+      ExpectSameRun(*in_memory, *spilled,
+                    std::string(ProtocolKindName(protocol)) +
+                        " shards=" + std::to_string(shards));
+      EXPECT_TRUE(spilled->spill.enabled);
+      EXPECT_EQ(spilled->spill.records_spilled, 0u);
+    }
+  }
 }
 
 }  // namespace

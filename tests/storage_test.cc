@@ -1,32 +1,35 @@
-#include "storage/buffer_pool.h"
+#include "storage/spill_log.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
-
-#include "storage/page_store.h"
-#include "storage/record_store.h"
 
 namespace asf {
 namespace storage {
 namespace {
 
-/// Fresh scratch path per test; the file is removed in TearDown.
-class StorageTest : public ::testing::Test {
+constexpr std::size_t kBuffer = SpillLog::kBufferBytes;
+
+/// Fresh empty scratch directory per test, removed in TearDown.
+class SpillLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "asf_storage_test_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".pages";
-    std::remove(path_.c_str());
+    std::string pattern = ::testing::TempDir() + "asf_spill_log_XXXXXX";
+    ASSERT_NE(mkdtemp(pattern.data()), nullptr);
+    dir_ = pattern;
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::string path_;
+  bool DirEmpty() const { return std::filesystem::is_empty(dir_); }
+
+  std::string dir_;
 };
 
 std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t seed) {
@@ -37,277 +40,96 @@ std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t seed) {
   return data;
 }
 
-// --- PageStore ---
-
-TEST_F(StorageTest, PageStoreAllocateWriteRead) {
-  auto store = PageStore::Create(path_, 256);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  const PageId a = (*store)->Allocate();
-  const PageId b = (*store)->Allocate();
-  EXPECT_NE(a, kNoPage);
-  EXPECT_NE(b, kNoPage);
-  EXPECT_NE(a, b);
-
-  const auto page_a = Pattern(256, 1);
-  const auto page_b = Pattern(256, 2);
-  ASSERT_TRUE((*store)->WritePage(a, page_a.data()).ok());
-  ASSERT_TRUE((*store)->WritePage(b, page_b.data()).ok());
-
-  std::vector<std::uint8_t> out(256);
-  ASSERT_TRUE((*store)->ReadPage(a, out.data()).ok());
-  EXPECT_EQ(out, page_a);
-  ASSERT_TRUE((*store)->ReadPage(b, out.data()).ok());
-  EXPECT_EQ(out, page_b);
-}
-
-TEST_F(StorageTest, PageStoreRecyclesFreedPages) {
-  auto store = PageStore::Create(path_, 256);
-  ASSERT_TRUE(store.ok());
-  const PageId a = (*store)->Allocate();
-  const PageId b = (*store)->Allocate();
-  (void)b;
-  const std::size_t pages_before = (*store)->stats().file_pages;
-  (*store)->Deallocate(a);
-  EXPECT_EQ((*store)->stats().free_pages, 1u);
-  const PageId c = (*store)->Allocate();
-  EXPECT_EQ(c, a);  // LIFO recycling, no file growth
-  EXPECT_EQ((*store)->stats().file_pages, pages_before);
-  EXPECT_EQ((*store)->stats().free_pages, 0u);
-}
-
-TEST_F(StorageTest, PageStoreReopenAndReread) {
-  const auto page_a = Pattern(256, 7);
-  PageId a = kNoPage;
-  PageId freed = kNoPage;
-  {
-    auto store = PageStore::Create(path_, 256);
-    ASSERT_TRUE(store.ok());
-    a = (*store)->Allocate();
-    freed = (*store)->Allocate();
-    ASSERT_TRUE((*store)->WritePage(a, page_a.data()).ok());
-    ASSERT_TRUE((*store)->WritePage(freed, page_a.data()).ok());
-    (*store)->Deallocate(freed);
-    // Destructor flushes the superblock (page count + free-list head).
-  }
-  auto reopened = PageStore::Open(path_);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->page_size(), 256u);
-  EXPECT_EQ((*reopened)->stats().free_pages, 1u);
-
-  std::vector<std::uint8_t> out(256);
-  ASSERT_TRUE((*reopened)->ReadPage(a, out.data()).ok());
-  EXPECT_EQ(out, page_a);
-  // The free list resumed: the freed page comes back before file growth.
-  EXPECT_EQ((*reopened)->Allocate(), freed);
-}
-
-// --- BufferPool ---
-
-TEST_F(StorageTest, PinnedFrameBlocksEviction) {
-  auto store = PageStore::Create(path_, 256);
-  ASSERT_TRUE(store.ok());
-  BufferPool pool(store->get(), 2, ReplacementPolicy::kLru);
-
-  PageId pinned_id = kNoPage;
-  auto pinned = pool.PinNew(&pinned_id);
-  ASSERT_TRUE(pinned.ok());
-  **pinned = 0xAB;  // stays valid across the churn below
-
-  // Churn many pages through the one remaining frame; the pinned frame
-  // must never be chosen as a victim.
-  for (int i = 0; i < 8; ++i) {
-    PageId id = kNoPage;
-    auto data = pool.PinNew(&id);
-    ASSERT_TRUE(data.ok()) << data.status().ToString();
-    pool.Unpin(id, true);
-  }
-  EXPECT_EQ(pool.PinCount(pinned_id), 1u);
-  EXPECT_EQ(**pinned, 0xAB);
-  pool.Unpin(pinned_id, true);
-}
-
-TEST_F(StorageTest, AllFramesPinnedFails) {
-  auto store = PageStore::Create(path_, 256);
-  ASSERT_TRUE(store.ok());
-  BufferPool pool(store->get(), 2, ReplacementPolicy::kLru);
-
-  PageId a = kNoPage;
-  PageId b = kNoPage;
-  ASSERT_TRUE(pool.PinNew(&a).ok());
-  ASSERT_TRUE(pool.PinNew(&b).ok());
-
-  PageId c = kNoPage;
-  auto overflow = pool.PinNew(&c);
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), StatusCode::kFailedPrecondition);
-
-  // Releasing one pin frees a frame.
-  pool.Unpin(b, false);
-  EXPECT_TRUE(pool.PinNew(&c).ok());
-  pool.Unpin(a, false);
-  pool.Unpin(c, false);
-}
-
-TEST_F(StorageTest, DirtyWriteBackRoundTrip) {
-  auto store = PageStore::Create(path_, 256);
-  ASSERT_TRUE(store.ok());
-  BufferPool pool(store->get(), 1, ReplacementPolicy::kLru);
-
-  PageId id = kNoPage;
-  auto data = pool.PinNew(&id);
-  ASSERT_TRUE(data.ok());
-  const auto payload = Pattern(256, 9);
-  std::copy(payload.begin(), payload.end(), *data);
-  pool.Unpin(id, true);
-
-  // Evict it (single frame) by pinning a different page, then fault the
-  // original back: the dirty bytes must have survived the write-back.
-  PageId other = kNoPage;
-  ASSERT_TRUE(pool.PinNew(&other).ok());
-  pool.Unpin(other, false);
-  EXPECT_GE(pool.stats().write_backs, 1u);
-
-  auto back = pool.Pin(id);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), *back));
-  pool.Unpin(id, false);
-}
-
-TEST_F(StorageTest, LruVersusFifoEvictionOrder) {
-  // Three pages, two frames. Load A then B, touch A again, then load C.
-  // LRU evicts B (least recently used); FIFO evicts A (loaded first,
-  // the re-touch does not refresh its stamp).
-  for (const ReplacementPolicy policy :
-       {ReplacementPolicy::kLru, ReplacementPolicy::kFifo}) {
-    std::remove(path_.c_str());
-    auto store = PageStore::Create(path_, 256);
-    ASSERT_TRUE(store.ok());
-    BufferPool pool(store->get(), 2, policy);
-
-    PageId a = kNoPage;
-    PageId b = kNoPage;
-    ASSERT_TRUE(pool.PinNew(&a).ok());
-    pool.Unpin(a, true);
-    ASSERT_TRUE(pool.PinNew(&b).ok());
-    pool.Unpin(b, true);
-
-    ASSERT_TRUE(pool.Pin(a).ok());  // touch A
-    pool.Unpin(a, false);
-
-    PageId c = kNoPage;
-    ASSERT_TRUE(pool.PinNew(&c).ok());
-    pool.Unpin(c, false);
-
-    const std::uint64_t misses_before = pool.stats().misses;
-    const PageId survivor = policy == ReplacementPolicy::kLru ? a : b;
-    ASSERT_TRUE(pool.Pin(survivor).ok());
-    pool.Unpin(survivor, false);
-    EXPECT_EQ(pool.stats().misses, misses_before)
-        << ReplacementPolicyName(policy) << " should have kept the survivor";
-  }
-}
-
-TEST_F(StorageTest, HitAndMissAccounting) {
-  auto store = PageStore::Create(path_, 256);
-  ASSERT_TRUE(store.ok());
-  BufferPool pool(store->get(), 4, ReplacementPolicy::kLru);
-
-  PageId id = kNoPage;
-  ASSERT_TRUE(pool.PinNew(&id).ok());
-  pool.Unpin(id, true);
-  const std::uint64_t misses_after_new = pool.stats().misses;
-
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pool.Pin(id).ok());
-    pool.Unpin(id, false);
-  }
-  EXPECT_EQ(pool.stats().hits, 3u);
-  EXPECT_EQ(pool.stats().misses, misses_after_new);
-  EXPECT_GT(pool.stats().HitRate(), 0.0);
-  EXPECT_EQ(pool.stats().resident_bytes, 4u * 256u);
-}
-
-TEST_F(StorageTest, ParseReplacementPolicyNames) {
-  ReplacementPolicy policy;
-  EXPECT_TRUE(ParseReplacementPolicy("lru", &policy));
-  EXPECT_EQ(policy, ReplacementPolicy::kLru);
-  EXPECT_TRUE(ParseReplacementPolicy("fifo", &policy));
-  EXPECT_EQ(policy, ReplacementPolicy::kFifo);
-  EXPECT_FALSE(ParseReplacementPolicy("mru", &policy));
-  EXPECT_EQ(ReplacementPolicyName(ReplacementPolicy::kLru), "lru");
-  EXPECT_EQ(ReplacementPolicyName(ReplacementPolicy::kFifo), "fifo");
-}
-
-// --- PagedRecordStore ---
-
-TEST_F(StorageTest, RecordRoundTripAcrossPageBoundaries) {
-  auto store = PageStore::Create(path_, 128);
-  ASSERT_TRUE(store.ok());
-  BufferPool pool(store->get(), 2, ReplacementPolicy::kLru);
-  PagedRecordStore records(&pool);
-
-  // Empty, sub-page, exactly one page, and multi-page records.
-  const std::size_t payload = records.payload_per_page();
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{17}, payload, payload * 3 + 5}) {
-    const auto data = Pattern(n, static_cast<std::uint8_t>(n));
-    auto ref = records.Write(data);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    EXPECT_TRUE(ref->valid());
-    auto back = records.Read(*ref);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(*back, data);
-    ASSERT_TRUE(records.Free(*ref).ok());
-  }
-  // Everything freed: the next chain recycles instead of growing.
-  const std::size_t pages = (*store)->stats().file_pages;
-  auto ref = records.Write(Pattern(payload * 2, 5));
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ((*store)->stats().file_pages, pages);
-  ASSERT_TRUE(records.Free(*ref).ok());
-}
-
 // Regression: reading back a zero-length record once handed memcpy the
 // null data() of the empty output vector (UBSan: null pointer passed as
 // argument declared nonnull).
-TEST_F(StorageTest, ZeroLengthRecordRoundTrip) {
-  auto store = PageStore::Create(path_, 128);
-  ASSERT_TRUE(store.ok());
-  BufferPool pool(store->get(), 2, ReplacementPolicy::kLru);
-  PagedRecordStore records(&pool);
-
-  auto ref = records.Write({});
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-  EXPECT_TRUE(ref->valid());
-  EXPECT_EQ(ref->bytes, 0u);
-  auto back = records.Read(*ref);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(back->empty());
-  ASSERT_TRUE(records.Free(*ref).ok());
+TEST_F(SpillLogTest, ZeroLengthRecordRoundTrip) {
+  SpillLog log(dir_, "test");
+  const RecordRef ref = log.Append({});
+  EXPECT_TRUE(ref.valid());
+  EXPECT_EQ(ref.bytes, 0u);
+  EXPECT_TRUE(log.Read(ref).empty());
+  // Also once the record's offset lies in the flushed part of the log.
+  const auto big = Pattern(kBuffer, 3);
+  log.Append(big);
+  log.Append(big);
+  EXPECT_TRUE(log.Read(ref).empty());
+  EXPECT_EQ(log.Read(log.Append({})).size(), 0u);
+  EXPECT_FALSE(RecordRef().valid());
 }
 
-TEST_F(StorageTest, ManyRecordsWithTinyPool) {
-  auto store = PageStore::Create(path_, 128);
-  ASSERT_TRUE(store.ok());
-  BufferPool pool(store->get(), 2, ReplacementPolicy::kLru);
-  PagedRecordStore records(&pool);
-
+TEST_F(SpillLogTest, RecordsAroundTheBufferBoundary) {
+  SpillLog log(dir_, "test");
+  // Sizes chosen so appends repeatedly land just short of, exactly on,
+  // and just past the write-buffer boundary, plus records larger than
+  // the whole buffer (written directly, around buffered neighbours).
+  const std::size_t sizes[] = {kBuffer - 10, 10,          1,
+                               kBuffer,      kBuffer + 1, 7,
+                               kBuffer - 1,  2 * kBuffer + 5,
+                               300,          kBuffer / 2, kBuffer / 2 + 1};
   std::vector<RecordRef> refs;
   std::vector<std::vector<std::uint8_t>> payloads;
-  for (std::uint8_t i = 0; i < 40; ++i) {
-    payloads.push_back(Pattern(200 + i * 13, i));
-    auto ref = records.Write(payloads.back());
-    ASSERT_TRUE(ref.ok());
-    refs.push_back(*ref);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    payloads.push_back(Pattern(sizes[i], static_cast<std::uint8_t>(i)));
+    refs.push_back(log.Append(payloads.back()));
+    EXPECT_EQ(refs.back().offset, total) << "records are packed";
+    EXPECT_EQ(refs.back().bytes, sizes[i]);
+    total += sizes[i];
+    EXPECT_EQ(log.size(), total);
   }
-  // Read back in reverse so nearly every access faults through the
-  // 2-frame pool.
-  for (std::size_t i = refs.size(); i > 0; --i) {
-    auto back = records.Read(refs[i - 1]);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, payloads[i - 1]);
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(log.Read(refs[i]), payloads[i]) << "record " << i;
   }
-  EXPECT_GT(pool.stats().evictions, 0u);
+}
+
+TEST_F(SpillLogTest, ReadsOutOfAppendOrder) {
+  SpillLog log(dir_, "test");
+  std::vector<RecordRef> refs;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int i = 0; i < 500; ++i) {
+    payloads.push_back(Pattern(200 + (i * 53) % 700,
+                               static_cast<std::uint8_t>(i)));
+    refs.push_back(log.Append(payloads.back()));
+  }
+  ASSERT_GT(log.size(), 3 * kBuffer);
+  std::vector<std::size_t> order(refs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+  for (const std::size_t i : order) {
+    EXPECT_EQ(log.Read(refs[i]), payloads[i]) << "record " << i;
+  }
+  // Re-reads are as good as first reads.
+  EXPECT_EQ(log.Read(refs[0]), payloads[0]);
+}
+
+TEST_F(SpillLogTest, ReadOfARecordStillInTheBuffer) {
+  SpillLog log(dir_, "test");
+  // Push the log past one flush so the buffered record's offset differs
+  // from its position in the buffer.
+  const auto filler = Pattern(kBuffer - 100, 1);
+  log.Append(filler);
+  const auto first = Pattern(300, 2);
+  const RecordRef flushed = log.Append(first);  // flushes `filler`
+  const auto second = Pattern(500, 3);
+  const RecordRef buffered = log.Append(second);
+  EXPECT_EQ(log.Read(buffered), second);
+  EXPECT_EQ(log.Read(flushed), first);
+  // Later appends must not disturb either copy.
+  log.Append(Pattern(kBuffer, 4));
+  EXPECT_EQ(log.Read(buffered), second);
+  EXPECT_EQ(log.Read(flushed), first);
+}
+
+TEST_F(SpillLogTest, ScratchDirStaysEmpty) {
+  {
+    SpillLog log(dir_, "test");
+    EXPECT_TRUE(DirEmpty()) << "the log is unlinked at open";
+    for (int i = 0; i < 300; ++i) log.Append(Pattern(1000, 5));
+    EXPECT_EQ(log.Read(RecordRef{0, 1000}), Pattern(1000, 5));
+    EXPECT_TRUE(DirEmpty());
+  }
+  EXPECT_TRUE(DirEmpty());
 }
 
 }  // namespace

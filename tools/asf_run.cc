@@ -17,6 +17,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <regex>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -121,13 +123,11 @@ value space):
   --churn-max=N           cap on arrivals (0 = none)            [0]
   --churn-seed=N          churn schedule seed (default: --seed)
 
-Out-of-core query state (DESIGN.md #13; byte-identical results for any
-buffer size — spilling only changes where closed books are stored):
-  --spill=DIR             spill retired-query state to a page file in
-                          DIR through a buffer pool (default: keep all
-                          state in RAM)
-  --buffer-pages=N        buffer pool frames (>= 2)             [64]
-  --replacement=lru|fifo  pool replacement policy               [lru]
+Out-of-core query state (DESIGN.md #13; byte-identical results —
+spilling only changes where closed books are stored):
+  --spill=DIR             append retired-query state to a scratch log
+                          in DIR, unlinked at open so nothing is left
+                          behind (default: keep all state in RAM)
 
 Observability (DESIGN.md #14; inert on results — obs-on output is
 byte-identical to obs-off after dropping the "obs "-prefixed lines):
@@ -146,26 +146,25 @@ Output:
   --bench-json=FILE       also write the summary as BENCH json
                           (includes build provenance: git sha, build
                           type, SIMD backend)
+  --help                  print this text
 )";
 
-/// Parses --spill / --buffer-pages / --replacement into `spill`.
-/// Validation proper (writable dir, minimum pool size) happens in
-/// SpillConfig::Validate via SystemConfig/MultiQueryConfig.
-Status ParseSpillFlags(const Flags& flags, SpillConfig* spill) {
-  spill->dir = flags.GetString("spill", "");
-  ASF_ASSIGN_OR_RETURN(const std::int64_t pages,
-                       flags.GetInt("buffer-pages", 64));
-  if (pages < 0) {
-    return Status::InvalidArgument("--buffer-pages must be >= 0");
+/// Fails on any flag kHelp does not document: a misspelt or retired
+/// flag must not silently fall back to its default.
+Status CheckKnownFlags(const Flags& flags) {
+  const std::string help = kHelp;
+  std::set<std::string> known;
+  const std::regex flag("--([a-z][a-z0-9-]*)");
+  for (std::sregex_iterator it(help.begin(), help.end(), flag), end;
+       it != end; ++it) {
+    known.insert((*it)[1]);
   }
-  spill->buffer_pages = static_cast<std::size_t>(pages);
-  if (flags.Has("replacement")) {
-    const std::string name = flags.GetString("replacement");
-    if (!storage::ParseReplacementPolicy(name, &spill->replacement)) {
-      return Status::InvalidArgument("unknown --replacement: " + name);
-    }
+  std::string unknown;
+  for (const std::string& name : flags.Names()) {
+    if (known.count(name) == 0) unknown += " --" + name;
   }
-  return Status::OK();
+  if (unknown.empty()) return Status::OK();
+  return Status::InvalidArgument("unknown flag(s):" + unknown);
 }
 
 /// Owns the per-run observability objects behind --trace / --trace-cats
@@ -439,6 +438,7 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
 }
 
 Status RunFromFlags(const Flags& flags) {
+  ASF_RETURN_IF_ERROR(CheckKnownFlags(flags));
   SystemConfig config;
 
   // Workload.
@@ -483,7 +483,7 @@ Status RunFromFlags(const Flags& flags) {
       return Status::InvalidArgument("unknown --dispatch: " + dispatch);
     }
   }
-  ASF_RETURN_IF_ERROR(ParseSpillFlags(flags, &config.spill));
+  config.spill.dir = flags.GetString("spill", "");
 
   // Query + protocol + tolerance.
   ASF_ASSIGN_OR_RETURN(config.query, ParseQuery(flags));

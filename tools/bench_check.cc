@@ -20,8 +20,8 @@
 ///
 /// Bound gates are exact — --tolerance does not apply — and a literal
 /// bound does not require the key in the baseline file at all. CI uses
-/// these for quality floors (e.g. spill-pool hit rate) and resource
-/// ceilings (resident bytes) where a ratio tolerance is the wrong shape.
+/// these for structural floors (e.g. spill identity) and resource
+/// ceilings (spill-log bytes) where a ratio tolerance is the wrong shape.
 ///
 /// `--min-cores=N` makes the whole comparison conditional on the host:
 /// when hardware_concurrency() < N the check is skipped with a logged
