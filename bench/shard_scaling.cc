@@ -12,12 +12,11 @@
 /// Reported per cell: generated updates per wall second, the
 /// machine-stable ratios speedup_s{S} = cell / serial of the same Q, and
 /// for sharded cells the measured replay fraction — the share of wall
-/// time spent in the coordinator's replay stage, i.e. the serial term of
-/// the Amdahl curve that replay_workers attacks (DESIGN.md §12). On a
-/// multi-core host the s4 ratio is the headline; on a single hardware
-/// thread it degrades to the epoch pipeline's overhead factor
-/// (EXPERIMENTS.md records which environment produced the checked-in
-/// baseline).
+/// time spent in the coordinator's serial replay stage, i.e. the serial
+/// term of the Amdahl curve. On a multi-core host the s4 ratio is the
+/// headline; on a single hardware thread it degrades to the epoch
+/// pipeline's overhead factor (EXPERIMENTS.md records which environment
+/// produced the checked-in baseline).
 ///
 /// Writes BENCH_shard_scaling.json by default (--json=PATH to override,
 /// --json= to disable).
@@ -66,7 +65,7 @@ int Main(int argc, char** argv) {
               "===\n",
               simd::KernelBackend(), std::thread::hardware_concurrency());
   TextTable table({"queries", "shards", "updates/sec", "speedup vs serial",
-                   "replay frac", "workers"});
+                   "replay frac"});
   std::vector<std::pair<std::string, double>> metrics;
   metrics.emplace_back("simd_lanes",
                        static_cast<double>(simd::KernelLanes()));
@@ -97,9 +96,8 @@ int Main(int argc, char** argv) {
               : 0.0;
       table.AddRow({Fmt("%zu", q), Fmt("%zu", s), Fmt("%.3e", rate),
                     Fmt("%.2fx", speedup),
-                    s == 1 ? std::string("-") : Fmt("%.2f", replay_fraction),
                     s == 1 ? std::string("-")
-                           : Fmt("%zu", result->replay_workers)});
+                           : Fmt("%.2f", replay_fraction)});
       metrics.emplace_back(
           Fmt("q%zu_s%zu_updates_per_sec", q, s), rate);
       if (s != 1) {

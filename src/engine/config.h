@@ -174,12 +174,6 @@ struct SystemConfig {
   /// whose results are byte-identical to the serial engine for any shard
   /// count (DESIGN.md §8). Requires a partitionable source (walk/trace).
   std::size_t shards = 1;
-  /// Sharded mode's speculation epoch length; <= 0 picks a default.
-  SimTime shard_epoch = 0;
-  /// Sharded mode's replay executor count (DESIGN.md §12): 0 picks
-  /// min(shards, hardware); clamped to shards; fault configs run serial
-  /// replay regardless. Byte-identical output at every setting.
-  std::size_t replay_workers = 0;
   /// Pin the sharded engine's threads to cores (Linux; no-op elsewhere).
   bool pin_threads = false;
 

@@ -118,7 +118,6 @@ MultiQueryResult RunAndFlatten(Core& core, const MultiQueryConfig& config) {
   result.dispatch = core.dispatch_stats();
   result.wall_seconds = core.wall_seconds();
   result.replay_seconds = core.replay_seconds();
-  result.replay_workers = core.replay_workers();
   result.pinned = core.pinned();
   // Snapshot after flattening so the telemetry includes the faults the
   // per-query loop above just triggered.
@@ -145,8 +144,6 @@ Result<MultiQueryResult> RunMultiQuerySystem(const MultiQueryConfig& config) {
     ShardedSimulationCore::Options sharded;
     sharded.base = options;
     sharded.shards = config.shards;
-    sharded.epoch = config.shard_epoch;
-    sharded.replay_workers = config.replay_workers;
     sharded.pin_threads = config.pin_threads;
     ShardedSimulationCore core(sharded);
     return RunAndFlatten(core, config);

@@ -19,11 +19,6 @@ namespace asf {
 
 namespace {
 
-/// Wire messages with fewer payloads than this replay their reactions
-/// inline: the fan-out's publish/park round trip only pays for itself
-/// once several queries share the physical message.
-constexpr std::size_t kMinParallelPayloads = 4;
-
 // Routed views are rebound against the shard arenas' shared generation
 // counter after every lifecycle event; a transport closure must never
 // touch one that survived a rebind.
@@ -34,36 +29,10 @@ inline void AssertViewFresh(const FilterBank& bank, const FilterArena& arena) {
 }
 }  // namespace
 
-/// Server-side runtime of one deployed query — the same shared runtime
-/// the serial engine uses (engine/query_slot.h), so wiring and
-/// accounting cannot drift between the two.
-struct ShardedSimulationCore::Slot : engine_internal::QuerySlot {
-  /// Shared-state side effects this slot's reaction journaled during the
-  /// parallel phase of the current wire message; committed serially in
-  /// payload order, then cleared. Only the executor owning the slot ever
-  /// appends (a slot appears at most once per wire message).
-  std::vector<ReplayOp> journal;
-};
-
 ShardedSimulationCore::ShardedSimulationCore(const Options& options)
     : options_(options),
       wall_start_(std::chrono::steady_clock::now()) {
   const std::size_t num_shards = std::max<std::size_t>(1, options_.shards);
-  // Resolve the replay executor count (Options::replay_workers): the
-  // executors are the shard worker threads plus the coordinator standing
-  // in for worker 0, so W never exceeds the shard count. Fault stages
-  // force serial replay — a probe's failover verdict is branched on
-  // mid-reaction, which journaling cannot represent.
-  {
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    std::size_t w = options_.replay_workers == 0
-                        ? std::min(num_shards, hw)
-                        : options_.replay_workers;
-    w = std::min(w, num_shards);
-    if (options_.base.net.HasFaults()) w = 1;
-    replay_workers_ = std::max<std::size_t>(1, w);
-  }
   const std::size_t n = options_.base.source.NumStreams();
   ASF_CHECK_MSG(options_.base.source.type != SourceSpec::Type::kCustom,
                 "custom stream sources cannot be sharded");
@@ -140,9 +109,6 @@ ShardedSimulationCore::ShardedSimulationCore(const Options& options)
 }
 
 ShardedSimulationCore::~ShardedSimulationCore() {
-  // Workers parked as replay executors wait on the task channel, not the
-  // epoch condvar: release them first or the shutdown notify is missed.
-  CloseReplayTasks();
   if (!workers_.empty()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -189,20 +155,8 @@ void ShardedSimulationCore::WireSlot(std::size_t index) {
   // deploys route through it and install at the source on delivery.
   const auto make_transport = [this, index](FilterBank* bank) {
     Transport transport;
-    transport.probe = [this, bank, index](StreamId id) -> std::optional<Value> {
+    transport.probe = [this, bank](StreamId id) -> std::optional<Value> {
       AssertViewFresh(*bank, *arena_ptrs_.front());
-      if (replay_journal_mode_) {
-        // Parallel phase (DESIGN.md §12): no fault stage is active on a
-        // journaling run, so the RPC always succeeds; its shared effects
-        // — the stats count and the reference sync — are journaled for
-        // the serial commit. values_ is frozen during the delivery, so
-        // this reads exactly what the serial engine's probe reads.
-        Slot& slot = *slots_[index];
-        const Value v = values_[id];
-        slot.journal.push_back({ReplayOp::Kind::kControlRpc, id});
-        slot.journal.push_back({ReplayOp::Kind::kSyncReference, id, v});
-        return v;
-      }
       // Same failover as the serial engine: a lost exchange reports no
       // value and the server context serves its cache.
       if (!net_->ControlRpc(id, coord_now_)) return std::nullopt;
@@ -211,17 +165,9 @@ void ShardedSimulationCore::WireSlot(std::size_t index) {
       return v;
     };
     transport.region_probe =
-        [this, bank, index](StreamId id,
-                            const Interval& region) -> std::optional<Value> {
+        [this, bank](StreamId id,
+                     const Interval& region) -> std::optional<Value> {
       AssertViewFresh(*bank, *arena_ptrs_.front());
-      if (replay_journal_mode_) {
-        Slot& slot = *slots_[index];
-        slot.journal.push_back({ReplayOp::Kind::kControlRpc, id});
-        const Value v = values_[id];
-        if (!region.Contains(v)) return std::nullopt;
-        slot.journal.push_back({ReplayOp::Kind::kSyncReference, id, v});
-        return v;
-      }
       if (!net_->ControlRpc(id, coord_now_)) return std::nullopt;
       const Value v = values_[id];
       if (!region.Contains(v)) return std::nullopt;
@@ -230,11 +176,6 @@ void ShardedSimulationCore::WireSlot(std::size_t index) {
     };
     transport.deploy = [this, index](StreamId id,
                                      const FilterConstraint& constraint) {
-      if (replay_journal_mode_) {
-        slots_[index]->journal.push_back(
-            {ReplayOp::Kind::kDeploy, id, 0, constraint});
-        return;
-      }
       net_->SendDeploy(index, id, constraint, coord_now_);
     };
     return transport;
@@ -344,12 +285,8 @@ void ShardedSimulationCore::RetireSlot(std::size_t index, SimTime at) {
 
   // Retires run at epoch barriers with every shard quiescent, so the
   // coordinator can park the closed books on pages and free the hot
-  // copies right here (DESIGN.md §13). The journal is empty between wire
-  // messages; drop its capacity along with the rest.
-  if (spiller_) {
-    slot.journal.shrink_to_fit();
-    engine_internal::SpillRetiredSlot(*spiller_, slot);
-  }
+  // copies right here (DESIGN.md §13).
+  if (spiller_) engine_internal::SpillRetiredSlot(*spiller_, slot);
 }
 
 void ShardedSimulationCore::FlushAnswerSamples(Slot& slot,
@@ -417,11 +354,7 @@ void ShardedSimulationCore::ReplayUpdate(Shard& shard,
                     update.value, fired_slots_.size());
     net_->SendUpdate(update.id, update.value, fired_slots_, update.time);
   }
-  if (options_.base.oracle.check_every_update) {
-    for (auto& slot : slots_) {
-      if (slot->live) RunOracle(*slot);
-    }
-  }
+  if (options_.base.oracle.check_every_update) OracleTick();
 }
 
 void ShardedSimulationCore::OnNetUpdate(StreamId id,
@@ -432,141 +365,11 @@ void ShardedSimulationCore::OnNetUpdate(StreamId id,
   ASF_TRACE_EVENT(options_.base.obs.tracer, obs_coord_ring_,
                   obs::TraceEventType::kWireDeliver, at, id,
                   count != 0 ? payloads[count - 1].value : 0, count);
-  if (replay_workers_ > 1 && count >= kMinParallelPayloads) {
-    ParallelDeliverWireMessage(id, payloads, count, at);
-    return;
+  if (engine_internal::DeliverWireMessage(
+          slots_, *net_, net_delayed_, options_.base.oracle.check_every_update,
+          updates_generated_, physical_updates_, id, payloads, count, at)) {
+    OracleTick();
   }
-  engine_internal::DeliverWireMessage(
-      slots_, *net_, net_delayed_, options_.base.oracle.check_every_update,
-      updates_generated_, physical_updates_, id, payloads, count, at,
-      [this] {
-        for (auto& slot : slots_) {
-          if (slot->live) RunOracle(*slot);
-        }
-      });
-}
-
-void ShardedSimulationCore::ParallelDeliverWireMessage(
-    StreamId id, const NetworkModel::Payload* payloads, std::size_t count,
-    SimTime at) {
-  // Serial prepass: DeliverWireMessage's shared accounting, in payload
-  // order, through the same admission gate — one physical message,
-  // per-payload drop/suppression books, seq floors (DESIGN.md §12).
-  ++physical_updates_;
-  task_admit_.assign(count, 0);
-  bool delivered = false;
-  for (std::size_t i = 0; i < count; ++i) {
-    const NetworkModel::Payload& p = payloads[i];
-    if (engine_internal::AdmitPayload(*slots_[p.slot], *net_, id, p)) {
-      task_admit_[i] = 1;
-      delivered = true;
-    }
-  }
-  if (delivered) {
-    ASF_DCHECK(assist_open_);
-    // Parallel phase: per-slot protocol reactions, partitioned
-    // slot % W across the executors. Each reaction touches only its
-    // slot's private state; every shared side effect is journaled by the
-    // transports. Publish the task fields, then release them with the
-    // sequence increment; the coordinator is executor 0.
-    replay_journal_mode_ = true;
-    task_payloads_ = payloads;
-    task_count_ = count;
-    task_stream_ = id;
-    task_at_ = at;
-    task_kind_ = ReplayTask::kDeliver;
-    task_pending_.store(static_cast<std::uint32_t>(replay_workers_ - 1),
-                        std::memory_order_relaxed);
-    task_seq_.fetch_add(1, std::memory_order_release);
-    task_seq_.notify_all();
-    RunExecutorShare(0);
-    for (;;) {
-      const std::uint32_t pending =
-          task_pending_.load(std::memory_order_acquire);
-      if (pending == 0) break;
-      task_pending_.wait(pending, std::memory_order_acquire);
-    }
-    replay_journal_mode_ = false;
-    // Serial commit: replay every delivered slot's journal in payload
-    // order, so net counters, reference syncs, constraint sends — and
-    // any jitter RNG draws they trigger — happen in exactly the serial
-    // engine's order.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (task_admit_[i] != 0) CommitSlotJournal(*slots_[payloads[i].slot]);
-    }
-  }
-  // DeliverWireMessage's arrival-time re-audit, after the whole message
-  // like the serial path.
-  if (net_delayed_ && delivered && options_.base.oracle.check_every_update) {
-    for (auto& slot : slots_) {
-      if (slot->live) RunOracle(*slot);
-    }
-  }
-}
-
-void ShardedSimulationCore::RunExecutorShare(std::size_t executor) {
-  const NetworkModel::Payload* payloads = task_payloads_;
-  const std::size_t count = task_count_;
-  const StreamId id = task_stream_;
-  const SimTime at = task_at_;
-  for (std::size_t i = 0; i < count; ++i) {
-    const NetworkModel::Payload& p = payloads[i];
-    if (task_admit_[i] == 0 || p.slot % replay_workers_ != executor) continue;
-    Slot& slot = *slots_[p.slot];
-    engine_internal::DeliverUpdateToSlot(slot, id, p.value, at,
-                                         updates_generated_);
-    if (net_delayed_) slot.stats.update_delay.Add(at - p.crossed_at);
-  }
-}
-
-void ShardedSimulationCore::CommitSlotJournal(Slot& slot) {
-  for (const ReplayOp& op : slot.journal) {
-    switch (op.kind) {
-      case ReplayOp::Kind::kControlRpc:
-        // Always succeeds here (journaling runs carry no fault stage);
-        // performs the stats count the parallel phase deferred.
-        net_->ControlRpc(op.id, coord_now_);
-        break;
-      case ReplayOp::Kind::kSyncReference:
-        slot.filters->SyncReference(op.id, op.value);
-        break;
-      case ReplayOp::Kind::kDeploy:
-        net_->SendDeploy(slot.index, op.id, op.constraint, coord_now_);
-        break;
-    }
-  }
-  slot.journal.clear();
-}
-
-void ShardedSimulationCore::AssistReplay(std::size_t executor,
-                                         std::uint64_t seen) {
-  for (;;) {
-    task_seq_.wait(seen, std::memory_order_acquire);
-    const std::uint64_t cur = task_seq_.load(std::memory_order_acquire);
-    if (cur == seen) continue;  // spurious wake
-    seen = cur;
-    const bool close = task_kind_ == ReplayTask::kClose;
-    if (!close) RunExecutorShare(executor);
-    if (task_pending_.fetch_sub(1, std::memory_order_release) == 1) {
-      task_pending_.notify_all();
-    }
-    if (close) return;
-  }
-}
-
-void ShardedSimulationCore::CloseReplayTasks() {
-  if (!assist_open_) return;
-  task_kind_ = ReplayTask::kClose;
-  task_pending_.store(static_cast<std::uint32_t>(replay_workers_ - 1),
-                      std::memory_order_relaxed);
-  task_seq_.fetch_add(1, std::memory_order_release);
-  task_seq_.notify_all();
-  for (;;) {
-    const std::uint32_t pending = task_pending_.load(std::memory_order_acquire);
-    if (pending == 0) break;
-    task_pending_.wait(pending, std::memory_order_acquire);
-  }
-  assist_open_ = false;
 }
 
 bool ShardedSimulationCore::PinThreadToCore(std::size_t core) {
@@ -608,11 +411,7 @@ void ShardedSimulationCore::OnNetReconcile(SimTime at) {
   // values_ is exactly the serial engine's StreamSet state there.
   engine_internal::ReconcileSlots(slots_, values_, *net_, updates_generated_,
                                   at);
-  if (options_.base.oracle.check_every_update) {
-    for (auto& slot : slots_) {
-      if (slot->live) RunOracle(*slot);
-    }
-  }
+  if (options_.base.oracle.check_every_update) OracleTick();
 }
 
 void ShardedSimulationCore::OracleSampleTick() {
@@ -673,10 +472,6 @@ void ShardedSimulationCore::ReplayEpoch(SimTime from, SimTime to) {
 void ShardedSimulationCore::WorkerLoop(std::size_t shard_index) {
   if (pinned_) PinThreadToCore(shard_index);
   Shard& shard = *shards_[shard_index];
-  // Workers 1..W-1 park as replay executors after each epoch's
-  // speculation; worker 0 never does (the coordinator is executor 0, and
-  // under pinning they share core 0 without ever running concurrently).
-  const bool assist = shard_index > 0 && shard_index < replay_workers_;
   std::uint64_t seen_seq = 0;
   for (;;) {
     SimTime to;
@@ -700,28 +495,16 @@ void ShardedSimulationCore::WorkerLoop(std::size_t shard_index) {
         shard.scheduler.RunBefore(to);
       }
     }
-    // Snapshot the task sequence *before* announcing speculation done:
-    // the coordinator publishes replay tasks only after every worker has
-    // announced, so no task can land between this load and the wait in
-    // AssistReplay — the wait is guaranteed to observe it.
-    std::uint64_t replay_seen = 0;
-    if (assist) replay_seen = task_seq_.load(std::memory_order_acquire);
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++workers_done_;
     }
     done_cv_.notify_one();
-    if (assist) AssistReplay(shard_index, replay_seen);
   }
 }
 
 void ShardedSimulationCore::SpeculateEpoch(SimTime from, SimTime to) {
   (void)from;
-  // Release executors still parked from the previous epoch's replay back
-  // to the epoch condvar before signaling the next round. (The window
-  // stays open across ReplayEpoch's end because the final delivery drain
-  // after the epoch loop can still fan out — Run() closes it there.)
-  CloseReplayTasks();
   // Fresh epoch: logs restart, speculation state is the canonical state
   // (all barrier mutations applied), touched cells reset.
   epoch_live_ = arena_ptrs_.front()->live();
@@ -743,10 +526,6 @@ void ShardedSimulationCore::SpeculateEpoch(SimTime from, SimTime to) {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return workers_done_ == shards_.size(); });
   }
-  // Every worker has announced and snapshotted the task sequence; workers
-  // 1..W-1 are parked (or parking) in AssistReplay, so the coming replay
-  // stage may publish fan-out tasks.
-  assist_open_ = replay_workers_ > 1;
 }
 
 void ShardedSimulationCore::Run() {
@@ -863,8 +642,7 @@ void ShardedSimulationCore::Run() {
   // Epoch boundaries: a regular speculation grid plus every lifecycle
   // event time (lifecycle executes only at barriers, keeping the column
   // space fixed within an epoch).
-  const SimTime epoch_len =
-      options_.epoch > 0 ? options_.epoch : duration / 128;
+  const SimTime epoch_len = duration / kEpochsPerRun;
   std::vector<std::pair<SimTime, std::size_t>> deploys;   // (time, slot)
   std::vector<std::pair<SimTime, std::size_t>> retires;   // (time, slot)
   for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -946,8 +724,7 @@ void ShardedSimulationCore::Run() {
   // flush ran them in SpeculateEpoch's last round since to == duration),
   // drain samples and deliveries landing at the horizon itself, count the
   // messages still in flight, then close every live slot's books, exactly
-  // like the serial run loop. Deliveries at the horizon can still fan
-  // out, so the executors are released only after the drain.
+  // like the serial run loop.
   const auto drain_start = std::chrono::steady_clock::now();
   obs_drain_snapshots(duration);
   {
@@ -955,7 +732,6 @@ void ShardedSimulationCore::Run() {
                                obs::Phase::kReplay);
     DrainDeliveries(duration, kInf);
   }
-  CloseReplayTasks();
   replay_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     drain_start)

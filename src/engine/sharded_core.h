@@ -1,7 +1,6 @@
 #ifndef ASF_ENGINE_SHARDED_CORE_H_
 #define ASF_ENGINE_SHARDED_CORE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -39,18 +38,10 @@
 ///     for the remainder of the epoch; untouched columns keep their
 ///     speculated crossing bits, which are exact.
 ///
-/// The replay stage itself is parallel where provably safe (DESIGN.md
-/// §12): within one delivered wire message, each query's protocol
-/// reaction depends only on that slot's private state once the
-/// authoritative value is fixed, so the per-payload reactions are
-/// partitioned by slot index across the shard worker threads (which park
-/// as replay executors between epochs). Shared side effects — net
-/// counters, reference syncs, constraint sends — are journaled per slot
-/// during the parallel phase and committed serially in payload order, so
-/// accounting, send ordering, and every jitter RNG draw keep the serial
-/// engine's order exactly. Fault configurations disable the fan-out
-/// (probe failover results are branched on mid-reaction and cannot be
-/// journaled); the output stays byte-identical at every worker count.
+/// Replay stays on the coordinator, one protocol reaction at a time in
+/// merged order, like the paper's server: fanning the per-query reactions
+/// out across threads measured slower at every shard and query count
+/// (DESIGN.md §12).
 ///
 /// Because per-stream sources produce identical trajectories under any
 /// partition, reactions are ordered identically, and touched-cell replay
@@ -70,6 +61,10 @@ namespace asf {
 /// scheduler loop.
 class ShardedSimulationCore {
  public:
+  /// Speculation epochs per run: the epoch grid step is duration / this.
+  /// Lifecycle event times always become additional epoch boundaries.
+  static constexpr SimTime kEpochsPerRun = 128;
+
   struct Options {
     /// The query-independent run configuration (source must be a
     /// partitionable walk/trace — custom sources cannot be sharded).
@@ -77,22 +72,11 @@ class ShardedSimulationCore {
     /// Worker shards (>= 1). 1 exercises the full epoch machinery on a
     /// single shard.
     std::size_t shards = 1;
-    /// Speculation epoch length; <= 0 picks duration / 128. Lifecycle
-    /// event times always become additional epoch boundaries.
-    SimTime epoch = 0;
-    /// Replay executors for the parallel reaction fan-out, clamped to
-    /// `shards` (the executors are the shard worker threads; the
-    /// coordinator doubles as executor 0). 0 picks
-    /// min(shards, hardware_concurrency). Fault configurations always
-    /// resolve to 1 — mid-reaction probe failover cannot be journaled —
-    /// and the observable output is byte-identical at every setting.
-    std::size_t replay_workers = 0;
     /// Pin threads to cores (Linux; best-effort no-op elsewhere): the
     /// coordinator to core 0, shard worker s to core s mod
     /// hardware_concurrency. Worker 0 shares core 0 with the coordinator
-    /// by design — it only runs while the coordinator blocks (it never
-    /// assists replay), so the two never compete. On multi-socket hosts
-    /// keep shards within one NUMA node (see DESIGN.md §12).
+    /// by design — workers speculate only while the coordinator blocks,
+    /// so the two never compete.
     bool pin_threads = false;
   };
 
@@ -121,8 +105,6 @@ class ShardedSimulationCore {
   /// Wall-clock seconds spent in the replay stage (merge, reactions,
   /// delivery drains) — the serial fraction the Amdahl curve is gated by.
   double replay_seconds() const { return replay_seconds_; }
-  /// The resolved replay executor count (see Options::replay_workers).
-  std::size_t replay_workers() const { return replay_workers_; }
   /// Whether the coordinator was successfully pinned to a core.
   bool pinned() const { return pinned_; }
 
@@ -135,22 +117,9 @@ class ShardedSimulationCore {
   DispatchStats dispatch_stats() const;
 
  private:
-  struct Slot;
-
-  /// One shared-state side effect a journaling transport recorded during
-  /// the parallel reaction phase, replayed serially at commit (DESIGN.md
-  /// §12): the ControlRpc stats count of a probe, the reference sync of a
-  /// successful probe, or a constraint send.
-  struct ReplayOp {
-    enum class Kind : std::uint8_t { kControlRpc, kSyncReference, kDeploy };
-    Kind kind;
-    StreamId id = 0;
-    Value value = 0;  ///< kSyncReference: the probed value
-    FilterConstraint constraint;  ///< kDeploy: the constraint to install
-  };
-
-  /// What the replay task channel currently carries.
-  enum class ReplayTask : std::uint8_t { kNone, kDeliver, kClose };
+  /// The shared per-query runtime (engine/query_slot.h), so wiring and
+  /// accounting cannot drift between the two engines.
+  using Slot = engine_internal::QuerySlot;
 
   /// One stream shard: its slice of the sources, its own event loop, and
   /// the SoA filter strips of its local streams (row = stream id / S).
@@ -206,36 +175,6 @@ class ShardedSimulationCore {
                    std::size_t count, SimTime at);
   void OnNetDeploy(std::size_t slot, StreamId id,
                    const FilterConstraint& constraint, SimTime at);
-
-  // --- Parallel replay (DESIGN.md §12) ---
-
-  /// OnNetUpdate's fan-out path: serial admission prepass (shared
-  /// accounting, payload order), parallel per-slot reactions partitioned
-  /// slot % W across the executors with journaling transports, then the
-  /// serial journal commit in payload order.
-  void ParallelDeliverWireMessage(StreamId id,
-                                  const NetworkModel::Payload* payloads,
-                                  std::size_t count, SimTime at);
-
-  /// Runs executor `e`'s share of the published task: every admitted
-  /// payload with slot % replay_workers_ == e.
-  void RunExecutorShare(std::size_t executor);
-
-  /// Shard worker threads with index in [1, replay_workers_) park here
-  /// between epochs, executing published replay tasks until a close task
-  /// releases them back to the speculation condvar. `seen` must be the
-  /// task sequence loaded *before* the worker announced its speculation
-  /// done (the coordinator publishes only with all workers announced, so
-  /// no task can slip between the load and the wait).
-  void AssistReplay(std::size_t executor, std::uint64_t seen);
-
-  /// Publishes the close task and waits for the parked executors to drain
-  /// back to the epoch condvar. No-op unless the assist window is open.
-  void CloseReplayTasks();
-
-  /// Serially replays `slot`'s journal — net counters, reference syncs,
-  /// constraint sends — in the order the reaction produced them.
-  void CommitSlotJournal(Slot& slot);
 
   /// Best-effort affinity pin of the calling thread (Linux only).
   static bool PinThreadToCore(std::size_t core);
@@ -315,29 +254,8 @@ class ShardedSimulationCore {
   SimTime speculate_to_ = 0;
   bool final_flush_ = false;
   bool shutdown_ = false;
-
-  // Parallel-replay task channel (DESIGN.md §12). The plain fields are
-  // published before the release increment of task_seq_ and read after an
-  // acquire load of it; executors announce completion with a release
-  // decrement of task_pending_, which the coordinator acquires — the only
-  // synchronization the fan-out needs (no locks on the replay hot path).
-  std::size_t replay_workers_ = 1;  ///< resolved executor count
   bool pinned_ = false;
-  /// True during the parallel phase only: transports journal shared side
-  /// effects instead of performing them (flipped while executors are
-  /// quiescent; ordered by the task channel).
-  bool replay_journal_mode_ = false;
-  bool assist_open_ = false;  ///< workers 1..W-1 parked in AssistReplay
-  std::atomic<std::uint64_t> task_seq_{0};
-  std::atomic<std::uint32_t> task_pending_{0};
-  ReplayTask task_kind_ = ReplayTask::kNone;
-  const NetworkModel::Payload* task_payloads_ = nullptr;
-  std::size_t task_count_ = 0;
-  StreamId task_stream_ = 0;
-  SimTime task_at_ = 0;
-  /// Admission verdicts of the current message's payloads (serial
-  /// prepass), indexed like the payload array.
-  std::vector<std::uint8_t> task_admit_;
+
   /// Scratch: fired subset of the touched columns in the update being
   /// replayed (ascending; see FilterArena::EvaluateTouched).
   std::vector<std::uint32_t> touched_fired_;

@@ -24,11 +24,6 @@ inline void AssertViewFresh(const FilterBank& bank, const FilterArena& arena) {
 }
 }  // namespace
 
-/// Server-side runtime of one deployed query — the shared per-query
-/// runtime (engine/query_slot.h), which the sharded engine uses too so
-/// the two cannot drift apart in wiring or accounting.
-struct SimulationCore::Slot : engine_internal::QuerySlot {};
-
 SimulationCore::SimulationCore(const Options& options)
     : options_(options), arena_(options.source.NumStreams()),
       wall_start_(std::chrono::steady_clock::now()) {
@@ -304,14 +299,13 @@ void SimulationCore::OnNetUpdate(StreamId id,
   obs::ScopedPhase obs_phase(options_.obs.profiler, obs::Phase::kNetFlush);
   ASF_TRACE_EVENT(options_.obs.tracer, 0, obs::TraceEventType::kWireDeliver,
                   at, id, count != 0 ? payloads[count - 1].value : 0, count);
-  engine_internal::DeliverWireMessage(
-      slots_, *net_, net_delayed_, options_.oracle.check_every_update,
-      updates_generated_, physical_updates_, id, payloads, count, at,
-      [this] {
-        for (auto& slot : slots_) {
-          if (slot->live) RunOracle(*slot);
-        }
-      });
+  if (engine_internal::DeliverWireMessage(
+          slots_, *net_, net_delayed_, options_.oracle.check_every_update,
+          updates_generated_, physical_updates_, id, payloads, count, at)) {
+    for (auto& slot : slots_) {
+      if (slot->live) RunOracle(*slot);
+    }
+  }
 }
 
 void SimulationCore::OnNetDeploy(std::size_t slot_index, StreamId id,

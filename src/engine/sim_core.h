@@ -49,6 +49,7 @@ namespace asf {
 
 namespace engine_internal {
 class QueryStateSpiller;  // engine/spill.h
+struct QuerySlot;         // engine/query_slot.h
 }  // namespace engine_internal
 
 /// Retire time of a query that lives to the end of the run.
@@ -222,15 +223,17 @@ class SimulationCore {
   double wall_seconds() const { return wall_seconds_; }
 
   /// Serial engine: every reaction runs inline in the one event loop, so
-  /// there is no replay stage to time, one implicit executor, and no
-  /// pinning. Mirrors ShardedSimulationCore so result flattening
-  /// (system.cc / multi_system.cc) stays engine-agnostic.
+  /// there is no replay stage to time and no pinning. Mirrors
+  /// ShardedSimulationCore so result flattening (system.cc /
+  /// multi_system.cc) stays engine-agnostic.
   double replay_seconds() const { return 0.0; }
-  std::size_t replay_workers() const { return 1; }
   bool pinned() const { return false; }
 
  private:
-  struct Slot;
+  /// Server-side runtime of one deployed query — the shared per-query
+  /// runtime (engine/query_slot.h), which the sharded engine uses too so
+  /// the two cannot drift apart in wiring or accounting.
+  using Slot = engine_internal::QuerySlot;
 
   /// Judges slot `i`'s current answer against the true stream values.
   void RunOracle(Slot& slot);

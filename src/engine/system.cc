@@ -35,7 +35,6 @@ RunResult RunAndFlatten(Core& core, const QueryDeployment& deployment) {
   result.dispatch = core.dispatch_stats();
   result.wall_seconds = core.wall_seconds();
   result.replay_seconds = core.replay_seconds();
-  result.replay_workers = core.replay_workers();
   result.pinned = core.pinned();
   result.spill = core.spill_telemetry();
   return result;
@@ -70,8 +69,6 @@ Result<RunResult> RunSystem(const SystemConfig& config) {
     ShardedSimulationCore::Options sharded;
     sharded.base = options;
     sharded.shards = config.shards;
-    sharded.epoch = config.shard_epoch;
-    sharded.replay_workers = config.replay_workers;
     sharded.pin_threads = config.pin_threads;
     ShardedSimulationCore core(sharded);
     return RunAndFlatten(core, deployment);

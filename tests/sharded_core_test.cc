@@ -132,13 +132,9 @@ MultiQueryConfig ProtocolConfig(ProtocolKind protocol) {
 
 /// Drives ShardedSimulationCore directly (the public entry point routes
 /// shards == 1 to the serial engine, and the epoch machinery must hold for
-/// one shard too). `replay_workers` forces the replay executor count —
-/// essential on small CI hosts, where the 0 = auto default resolves to the
-/// core count and would never exercise the parallel fan-out.
+/// one shard too).
 MultiQueryResult RunShardedDirect(const MultiQueryConfig& config,
-                                  std::size_t shards,
-                                  std::size_t replay_workers = 0,
-                                  bool pin_threads = false) {
+                                  std::size_t shards) {
   ShardedSimulationCore::Options options;
   options.base.source = config.source;
   options.base.duration = config.duration;
@@ -148,9 +144,6 @@ MultiQueryResult RunShardedDirect(const MultiQueryConfig& config,
   options.base.net = config.net;
   options.base.dispatch = config.dispatch;
   options.shards = shards;
-  options.epoch = config.shard_epoch;
-  options.replay_workers = replay_workers;
-  options.pin_threads = pin_threads;
   ShardedSimulationCore core(options);
   for (const QueryDeployment& dep : config.queries) core.AddQuery(dep);
   core.Run();
@@ -217,7 +210,7 @@ TEST(ShardedCoreTest, ByteIdenticalOnChurnSchedule) {
 
   auto serial = RunMultiQuerySystem(config);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (std::size_t shards : {2u, 4u}) {
+  for (std::size_t shards : {2u, 4u, 8u}) {
     MultiQueryConfig sharded_config = config;
     sharded_config.shards = shards;
     auto sharded = RunMultiQuerySystem(sharded_config);
@@ -439,18 +432,17 @@ TEST(ShardedCoreTest, DispatchPoliciesByteIdenticalOnSpilledChurn) {
   }
 }
 
-// --- Parallel replay (DESIGN.md §12) ---
+// --- Many queries per wire message ---
 //
-// With replay_workers > 1 the coordinator fans per-query reactions of a
-// multi-payload wire message out across the worker pool, journaling shared
-// side effects and committing them in payload order. Every observable must
-// stay byte-identical to the serial engine for every (shards, workers)
-// combination; these tests force worker counts explicitly so the fan-out
-// runs even on single-core hosts.
+// A workload where most crossings reach several queries at once, so one
+// wire message carries many payloads and the coordinator replays their
+// reactions back to back. Every observable must stay byte-identical to
+// the serial engine at every shard count, under delayed and faulty nets,
+// and with pinned threads.
 
 /// Six heavily-overlapping queries over one walk population, with a late
 /// arrival and a mid-run retirement: most crossings fan out to >= 4 query
-/// slots, which is the engine's parallel-replay payload threshold.
+/// slots.
 MultiQueryConfig OverlapConfig(ProtocolKind protocol) {
   MultiQueryConfig config;
   RandomWalkConfig walk;
@@ -483,7 +475,7 @@ MultiQueryConfig OverlapConfig(ProtocolKind protocol) {
   return config;
 }
 
-TEST(ParallelReplayTest, ByteIdenticalAcrossProtocolsShardsAndWorkers) {
+TEST(ShardedCoreTest, OverlapByteIdenticalAcrossProtocolsAndShardCounts) {
   const ProtocolKind protocols[] = {
       ProtocolKind::kNoFilter, ProtocolKind::kZtNrp, ProtocolKind::kFtNrp,
       ProtocolKind::kRtp,      ProtocolKind::kZtRp,  ProtocolKind::kFtRp};
@@ -492,68 +484,24 @@ TEST(ParallelReplayTest, ByteIdenticalAcrossProtocolsShardsAndWorkers) {
     auto serial = RunMultiQuerySystem(config);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-      for (std::size_t workers : {2u, 4u}) {
-        const MultiQueryResult sharded =
-            RunShardedDirect(config, shards, workers);
-        ExpectSameResult(*serial, sharded,
-                         std::string(ProtocolKindName(protocol)) + " shards=" +
-                             std::to_string(shards) + " workers=" +
-                             std::to_string(workers));
-      }
+      const MultiQueryResult sharded = RunShardedDirect(config, shards);
+      ExpectSameResult(*serial, sharded,
+                       std::string(ProtocolKindName(protocol)) + " shards=" +
+                           std::to_string(shards));
     }
   }
 }
 
-TEST(ParallelReplayTest, RepeatedRunsAndOddWorkerCountsReplayExactly) {
+TEST(ShardedCoreTest, OverlapRepeatedRunsReplayExactly) {
   MultiQueryConfig config = OverlapConfig(ProtocolKind::kFtNrp);
-  const MultiQueryResult first = RunShardedDirect(config, 4, 4);
-  const MultiQueryResult second = RunShardedDirect(config, 4, 4);
-  ExpectSameResult(first, second, "repeat workers=4");
-  const MultiQueryResult odd = RunShardedDirect(config, 4, 3);
-  ExpectSameResult(first, odd, "workers=3");
-  const MultiQueryResult one = RunShardedDirect(config, 4, 1);
-  ExpectSameResult(first, one, "workers=1");
+  const MultiQueryResult first = RunShardedDirect(config, 4);
+  const MultiQueryResult second = RunShardedDirect(config, 4);
+  ExpectSameResult(first, second, "repeat shards=4");
 }
 
-TEST(ParallelReplayTest, ByteIdenticalOnChurnSchedule) {
-  MultiQueryConfig config;
-  RandomWalkConfig walk;
-  walk.num_streams = 70;
-  walk.seed = 5;
-  config.source = SourceSpec::Walk(walk);
-  config.duration = 900;
-  config.seed = 7;
-  config.oracle.sample_interval = 120;
-
-  ChurnSpec spec;
-  spec.arrival_rate = 0.05;
-  spec.mean_lifetime = 220;
-  spec.seed = 31;
-  auto deployments = ExpandChurn(spec, config.duration);
-  ASSERT_TRUE(deployments.ok());
-  config.queries = std::move(deployments).value();
-
-  auto serial = RunMultiQuerySystem(config);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (std::size_t shards : {2u, 4u, 8u}) {
-    for (std::size_t workers : {2u, 4u}) {
-      MultiQueryConfig sharded_config = config;
-      sharded_config.shards = shards;
-      sharded_config.replay_workers = workers;
-      auto sharded = RunMultiQuerySystem(sharded_config);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      ExpectSameResult(*serial, *sharded,
-                       "churn shards=" + std::to_string(shards) +
-                           " workers=" + std::to_string(workers));
-      // The explicit worker request survives resolution (clamped to the
-      // shard count, never to the host's core count).
-      EXPECT_EQ(sharded->replay_workers, std::min(workers, shards));
-    }
-  }
-}
-
-TEST(ParallelReplayTest, ByteIdenticalUnderDelayedNets) {
-  const char* kSpecs[] = {"batch:7.5", "latency:3:2"};
+TEST(ShardedCoreTest, OverlapByteIdenticalUnderDelayedNets) {
+  const char* kSpecs[] = {"batch:7.5", "latency:3:2", "latency:5:3",
+                          "bw:0.1"};
   for (const char* spec : kSpecs) {
     auto net = ParseNetSpec(spec);
     ASSERT_TRUE(net.ok()) << spec;
@@ -562,7 +510,7 @@ TEST(ParallelReplayTest, ByteIdenticalUnderDelayedNets) {
     auto serial = RunMultiQuerySystem(config);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (std::size_t shards : {2u, 8u}) {
-      const MultiQueryResult sharded = RunShardedDirect(config, shards, 4);
+      const MultiQueryResult sharded = RunShardedDirect(config, shards);
       ExpectSameResult(*serial, sharded,
                        std::string(spec) + " shards=" +
                            std::to_string(shards));
@@ -570,10 +518,7 @@ TEST(ParallelReplayTest, ByteIdenticalUnderDelayedNets) {
   }
 }
 
-TEST(ParallelReplayTest, FaultyNetsForceSerialReplayAndStayIdentical) {
-  // Fault stages branch protocol reactions on probe failover results, so
-  // the engine must resolve any worker request down to serial replay —
-  // and still match the serial engine exactly.
+TEST(ShardedCoreTest, OverlapByteIdenticalUnderFaultyNet) {
   auto net = ParseNetSpec("latency:2+loss:0.06:2");
   ASSERT_TRUE(net.ok());
   MultiQueryConfig config = OverlapConfig(ProtocolKind::kFtNrp);
@@ -583,12 +528,10 @@ TEST(ParallelReplayTest, FaultyNetsForceSerialReplayAndStayIdentical) {
   for (std::size_t shards : {2u, 4u}) {
     MultiQueryConfig sharded_config = config;
     sharded_config.shards = shards;
-    sharded_config.replay_workers = 4;
     auto sharded = RunMultiQuerySystem(sharded_config);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     ExpectSameResult(*serial, *sharded,
                      "faulty shards=" + std::to_string(shards));
-    EXPECT_EQ(sharded->replay_workers, 1u);
     EXPECT_EQ(serial->net.delivered_crossings,
               sharded->net.delivered_crossings);
     EXPECT_EQ(serial->net.deploy_retransmits, sharded->net.deploy_retransmits);
@@ -596,13 +539,12 @@ TEST(ParallelReplayTest, FaultyNetsForceSerialReplayAndStayIdentical) {
   }
 }
 
-TEST(ParallelReplayTest, PinnedRunsStayByteIdentical) {
+TEST(ShardedCoreTest, PinnedRunsStayByteIdentical) {
   MultiQueryConfig config = OverlapConfig(ProtocolKind::kZtNrp);
   auto serial = RunMultiQuerySystem(config);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   MultiQueryConfig sharded_config = config;
   sharded_config.shards = 4;
-  sharded_config.replay_workers = 4;
   sharded_config.pin_threads = true;
   auto pinned = RunMultiQuerySystem(sharded_config);
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();

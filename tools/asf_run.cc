@@ -69,13 +69,10 @@ Auditing:
   --oracle-interval=T     sample the correctness oracle every T time units
   --oracle-every-update   audit after every update (slow)
 
-Sharding (byte-identical to the serial engine for any shard count and
-any replay worker count):
+Sharding (byte-identical to the serial engine for any shard count;
+shards speculate in parallel, replay stays serial on one thread; pays
+for one query over many streams, not for churn populations, ~0.8x):
   --shards=S              partition streams across S worker shards  [1]
-  --epoch=T               speculation epoch length (0 = auto)       [0]
-  --replay-workers=W      executors the replay stage fans per-query
-                          reactions across (0 = one per core, capped
-                          at S; fault nets replay serially)         [0]
   --pin                   pin the coordinator and shard threads to
                           cores (Linux best-effort; no-op elsewhere)
 
@@ -326,8 +323,6 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   config.seed = base.seed;
   config.oracle = base.oracle;
   config.shards = base.shards;
-  config.shard_epoch = base.shard_epoch;
-  config.replay_workers = base.replay_workers;
   config.pin_threads = base.pin_threads;
   config.net = base.net;
   config.dispatch = base.dispatch;
@@ -380,13 +375,11 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   if (config.shards > 1) {
     totals.AddRow(
         {"replay seconds",
-         Fmt("%.3f (%.1f%% of wall)", result.replay_seconds,
+         Fmt("%.3f (%.1f%% of wall)%s", result.replay_seconds,
              result.wall_seconds > 0
                  ? 100.0 * result.replay_seconds / result.wall_seconds
-                 : 0.0)});
-    totals.AddRow({"replay workers",
-                   Fmt("%zu%s", result.replay_workers,
-                       result.pinned ? " (pinned)" : "")});
+                 : 0.0,
+             result.pinned ? ", pinned" : "")});
   }
   totals.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
   std::printf("%s", totals.ToString().c_str());
@@ -421,7 +414,6 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
          result.wall_seconds > 0
             ? result.replay_seconds / result.wall_seconds
             : 0.0},
-        {"replay_workers", static_cast<double>(result.replay_workers)},
         {"pinned", result.pinned ? 1.0 : 0.0},
         {"wall_seconds", result.wall_seconds}};
     net_block.AppendMetrics(&metrics);
@@ -466,13 +458,6 @@ Status RunFromFlags(const Flags& flags) {
   ASF_ASSIGN_OR_RETURN(const std::int64_t shards, flags.GetInt("shards", 1));
   if (shards < 1) return Status::InvalidArgument("--shards must be >= 1");
   config.shards = static_cast<std::size_t>(shards);
-  ASF_ASSIGN_OR_RETURN(config.shard_epoch, flags.GetDouble("epoch", 0));
-  ASF_ASSIGN_OR_RETURN(const std::int64_t replay_workers,
-                       flags.GetInt("replay-workers", 0));
-  if (replay_workers < 0) {
-    return Status::InvalidArgument("--replay-workers must be >= 0");
-  }
-  config.replay_workers = static_cast<std::size_t>(replay_workers);
   ASF_ASSIGN_OR_RETURN(config.pin_threads, flags.GetBool("pin", false));
   if (flags.Has("net")) {
     ASF_ASSIGN_OR_RETURN(config.net, ParseNetSpec(flags.GetString("net")));
@@ -581,13 +566,11 @@ Status RunFromFlags(const Flags& flags) {
   if (config.shards > 1) {
     table.AddRow(
         {"replay seconds",
-         Fmt("%.3f (%.1f%% of wall)", result.replay_seconds,
+         Fmt("%.3f (%.1f%% of wall)%s", result.replay_seconds,
              result.wall_seconds > 0
                  ? 100.0 * result.replay_seconds / result.wall_seconds
-                 : 0.0)});
-    table.AddRow({"replay workers",
-                  Fmt("%zu%s", result.replay_workers,
-                      result.pinned ? " (pinned)" : "")});
+                 : 0.0,
+             result.pinned ? ", pinned" : "")});
   }
   table.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
   std::printf("%s", table.ToString().c_str());
@@ -627,7 +610,6 @@ Status RunFromFlags(const Flags& flags) {
         {"replay_fraction", result.wall_seconds > 0
                                 ? result.replay_seconds / result.wall_seconds
                                 : 0.0},
-        {"replay_workers", static_cast<double>(result.replay_workers)},
         {"pinned", result.pinned ? 1.0 : 0.0},
         {"wall_seconds", result.wall_seconds}};
     net_block.AppendMetrics(&metrics);
