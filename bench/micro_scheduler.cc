@@ -1,6 +1,7 @@
 /// Microbenchmark of the discrete-event kernel (src/sim/scheduler.h): raw
 /// event throughput of the schedule → dispatch → reschedule cycle that
-/// every simulated stream source drives, plus a cancel-heavy mix.
+/// every simulated stream source drives, a cancel-heavy mix, and
+/// constant-delay delivery traffic (FIFO lane vs heap).
 ///
 /// Prints events/sec per scenario, compares against the checked-in
 /// baseline measured with the pre-rewrite kernel (priority_queue of
@@ -102,6 +103,63 @@ double CancelOpsPerSec(std::size_t batch, std::size_t rounds) {
   return static_cast<double>(ops) / elapsed;
 }
 
+/// Constant-delay delivery: `tickers` self-rescheduling sources (heap
+/// events, as above), each of whose dispatches sends `fanout` messages
+/// that arrive at now + `delay`, every arrival answering with an ack
+/// another `delay` later — the shape of deploy/ack traffic on a
+/// latency:<d> net. `fifo` routes the deliveries through ScheduleFifo,
+/// otherwise through ScheduleAt. Events/sec counts every dispatch.
+double DeliveryEventsPerSec(std::size_t tickers, std::size_t fanout,
+                            SimTime delay, std::uint64_t total, bool fifo) {
+  Scheduler s;
+  std::uint64_t remaining = total;
+  std::uint64_t rng = 7;
+  std::uint64_t acks = 0;
+
+  struct Env {
+    Scheduler* s;
+    std::uint64_t* remaining;
+    std::uint64_t* rng;
+    std::uint64_t* acks;
+    std::size_t fanout;
+    SimTime delay;
+    bool fifo;
+
+    void Deliver(SimTime t, EventCallback fn) const {
+      if (fifo) {
+        s->ScheduleFifo(t, std::move(fn));
+      } else {
+        s->ScheduleAt(t, std::move(fn));
+      }
+    }
+  };
+  struct Tick {
+    const Env* env;
+    void operator()() const {
+      if (*env->remaining == 0) return;
+      --*env->remaining;
+      const Env* e = env;
+      for (std::size_t i = 0; i < e->fanout; ++i) {
+        e->Deliver(e->s->now() + e->delay, [e] {
+          e->Deliver(e->s->now() + e->delay, [e] { ++*e->acks; });
+        });
+      }
+      const SimTime next = 1.0 + static_cast<double>(Mix(*e->rng) & 0xff);
+      e->s->ScheduleAfter(next, Tick{e});
+    }
+  };
+  const Env env{&s, &remaining, &rng, &acks, fanout, delay, fifo};
+
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < tickers; ++i) {
+    s.ScheduleAt(static_cast<SimTime>(i), Tick{&env});
+  }
+  s.RunAll();
+  const double elapsed = Seconds(start);
+  if (acks == 0) std::fprintf(stderr, "unreachable\n");
+  return static_cast<double>(s.dispatched()) / elapsed;
+}
+
 int Main(int argc, char** argv) {
   const double scale = bench::Scale();
   const auto total =
@@ -120,6 +178,14 @@ int Main(int argc, char** argv) {
               cancel, kOldKernelCancelOpsPerSec,
               cancel / kOldKernelCancelOpsPerSec);
 
+  const auto ticks = static_cast<std::uint64_t>(400'000 * scale);
+  const double delivery_fifo = DeliveryEventsPerSec(
+      /*tickers=*/1024, /*fanout=*/8, /*delay=*/4.0, ticks, /*fifo=*/true);
+  const double delivery_heap = DeliveryEventsPerSec(
+      /*tickers=*/1024, /*fanout=*/8, /*delay=*/4.0, ticks, /*fifo=*/false);
+  std::printf("delivery_fifo  %12.3e events/sec  (heap only %10.3e, %5.2fx)\n",
+              delivery_fifo, delivery_heap, delivery_fifo / delivery_heap);
+
   return bench::FinishMicroBench(
       argc, argv, "BENCH_pr2.json", "micro_scheduler",
       {{"churn_events_per_sec", churn},
@@ -127,7 +193,10 @@ int Main(int argc, char** argv) {
        {"baseline_churn_events_per_sec", kOldKernelChurnEventsPerSec},
        {"baseline_cancel_ops_per_sec", kOldKernelCancelOpsPerSec},
        {"churn_speedup", churn / kOldKernelChurnEventsPerSec},
-       {"cancel_speedup", cancel / kOldKernelCancelOpsPerSec}});
+       {"cancel_speedup", cancel / kOldKernelCancelOpsPerSec},
+       {"delivery_fifo_events_per_sec", delivery_fifo},
+       {"delivery_heap_events_per_sec", delivery_heap},
+       {"delivery_fifo_speedup", delivery_fifo / delivery_heap}});
 }
 
 }  // namespace

@@ -150,15 +150,13 @@ void FaultPipeline::SendDeploy(std::size_t slot, StreamId id,
                                const FilterConstraint& constraint,
                                SimTime now) {
   Channel& ch = channels_[ChannelKey(slot, id)];
+  ch.owner = this;
   ch.slot = slot;
   ch.id = id;
-  if (ch.timer_armed) {
-    scheduler_->Cancel(ch.timer);
-    ch.timer_armed = false;
-  }
   // Last-writer-wins supersession: a fresh install restarts the channel;
   // acks for the superseded seq are ignored and the source applies only
-  // monotonically newer installs.
+  // monotonically newer installs. The queued timer is left in place:
+  // ArmTimer moves it only if it would fire too late.
   ++ch.seq;
   ch.constraint = constraint;
   ch.pending = true;
@@ -174,19 +172,19 @@ void FaultPipeline::Transmit(Channel& ch, SimTime now, bool reliable) {
   if (!wire_ok) {
     ++s.deploy_dropped;
   } else {
-    const SimTime at = now + CtlDelay();
     ++pending_ctl_wire_;
-    const std::size_t slot = ch.slot;
-    const StreamId id = ch.id;
-    const std::uint64_t seq = ch.seq;
-    const FilterConstraint constraint = ch.constraint;
-    const bool want_ack = !reliable;
-    scheduler_->ScheduleAt(at,
-                           [this, slot, id, seq, constraint, at, want_ack] {
-                             --pending_ctl_wire_;
-                             OnDeployArrival(slot, id, seq, constraint, at,
-                                             want_ack);
-                           });
+    // The copy carries its own constraint (a later install may have
+    // replaced the channel's by the time it lands). The pipeline is
+    // reached through the channel, so the capture stays inline.
+    const std::uint64_t seq_ack = (ch.seq << 1) | (reliable ? 0 : 1);
+    auto arrive = [c = &ch, seq_ack, constraint = ch.constraint] {
+      FaultPipeline* self = c->owner;
+      --self->pending_ctl_wire_;
+      self->OnDeployArrival(*c, seq_ack >> 1, constraint,
+                            self->scheduler_->now(), (seq_ack & 1) != 0);
+    };
+    static_assert(sizeof(arrive) <= EventCallback::kInlineSize);
+    scheduler_->ScheduleFifo(now + CtlDelay(), std::move(arrive));
   }
   if (reliable) {
     // The reconnect handshake is transactional: the replayed install is
@@ -211,23 +209,35 @@ void FaultPipeline::ArmTimer(Channel& ch, SimTime now) {
   const double backoff = std::min(
       rto_cap_, std::ldexp(base, std::min<std::uint32_t>(ch.attempt, 60)));
   ++ch.attempt;
-  const std::size_t slot = ch.slot;
-  const StreamId id = ch.id;
-  ch.timer = scheduler_->ScheduleAt(
-      now + backoff, [this, slot, id] { OnDeployTimeout(slot, id); });
+  // The timeout takes the sequence number a ScheduleAt here would, so it
+  // dispatches under the same (time, seq) key however it gets queued.
+  ch.rto_at = now + backoff;
+  ch.rto_seq = scheduler_->ReserveSeqs(1);
+  if (ch.timer_armed) {
+    // A queued timer due no later than the new deadline re-arms itself
+    // there when it fires; only one due after it has to move.
+    if (ch.timer_at <= ch.rto_at) return;
+    scheduler_->Cancel(ch.timer);
+  }
+  QueueTimer(ch);
+}
+
+void FaultPipeline::QueueTimer(Channel& ch) {
+  const std::uint64_t seq = ch.rto_seq;
+  ch.timer = scheduler_->ScheduleAtReserved(
+      ch.rto_at, seq, [this, c = &ch, seq] { OnDeployTimeout(*c, seq); });
+  ch.timer_at = ch.rto_at;
   ch.timer_armed = true;
 }
 
-void FaultPipeline::OnDeployArrival(std::size_t slot, StreamId id,
-                                    std::uint64_t seq,
+void FaultPipeline::OnDeployArrival(Channel& ch, std::uint64_t seq,
                                     const FilterConstraint& constraint,
                                     SimTime at, bool want_ack) {
-  Channel& ch = channels_[ChannelKey(slot, id)];
   NetStats& s = stats();
   if (seq > ch.applied_seq) {
     ch.applied_seq = seq;
     ++s.deploy_messages;
-    deploy_sink_(slot, id, constraint, at);
+    deploy_sink_(ch.slot, ch.id, constraint, at);
   } else {
     ++s.deploy_dup_suppressed;
   }
@@ -235,21 +245,18 @@ void FaultPipeline::OnDeployArrival(std::size_t slot, StreamId id,
   // The ack rides the uplink and draws the same fault processes. It is
   // sent even when the install was a suppressed duplicate (or the query
   // has retired): the server must stop retransmitting either way.
-  if (!LinkUp(at) || LossDraw(&up_, id)) {
+  if (!LinkUp(at) || LossDraw(&up_, ch.id)) {
     ++s.deploy_dropped;
     return;
   }
-  const SimTime ack_at = at + CtlDelay();
   ++pending_ctl_wire_;
-  scheduler_->ScheduleAt(ack_at, [this, slot, id, seq] {
+  scheduler_->ScheduleFifo(at + CtlDelay(), [this, c = &ch, seq] {
     --pending_ctl_wire_;
-    OnDeployAck(slot, id, seq);
+    OnDeployAck(*c, seq);
   });
 }
 
-void FaultPipeline::OnDeployAck(std::size_t slot, StreamId id,
-                                std::uint64_t seq) {
-  Channel& ch = channels_[ChannelKey(slot, id)];
+void FaultPipeline::OnDeployAck(Channel& ch, std::uint64_t seq) {
   NetStats& s = stats();
   if (ch.pending && seq == ch.seq) {
     // Karn's rule: only an exchange whose current seq was never
@@ -261,21 +268,23 @@ void FaultPipeline::OnDeployAck(std::size_t slot, StreamId id,
         obs_sink_->rto->Add(rtt_[ch.id].Rto(1.0, rto_cap_));
       }
     }
+    // The queued timer finds the channel settled and lapses.
     ch.pending = false;
     ++s.deploy_acks;
-    if (ch.timer_armed) {
-      scheduler_->Cancel(ch.timer);
-      ch.timer_armed = false;
-    }
   } else {
     ++s.deploy_stale_acks;
   }
 }
 
-void FaultPipeline::OnDeployTimeout(std::size_t slot, StreamId id) {
-  Channel& ch = channels_[ChannelKey(slot, id)];
+void FaultPipeline::OnDeployTimeout(Channel& ch, std::uint64_t timer_seq) {
   ch.timer_armed = false;
   if (!ch.pending) return;
+  if (timer_seq != ch.rto_seq) {
+    // Queued for a superseded timeout: move on to the current one, which
+    // is due no earlier (ArmTimer moved any timer that was due later).
+    QueueTimer(ch);
+    return;
+  }
   ++stats().deploy_retransmits;
   ch.retransmitted = true;
   Transmit(ch, scheduler_->now(), /*reliable=*/false);
@@ -317,22 +326,22 @@ void FaultPipeline::StartRun(SimTime horizon) {
 void FaultPipeline::OnReconnect(SimTime t) {
   // Snapshot the channels that were pending before the exchange: installs
   // the engine issues *during* reconciliation are fresh traffic on a live
-  // link and keep their ordinary retransmit path.
-  std::vector<std::uint64_t> pending_keys;
-  for (const auto& [key, ch] : channels_) {
-    if (ch.pending) pending_keys.push_back(key);
+  // link and keep their ordinary retransmit path. Replay runs in key
+  // order, so it does not depend on the hash table's layout.
+  std::vector<std::pair<std::uint64_t, Channel*>> pending;
+  for (auto& [key, ch] : channels_) {
+    if (ch.pending) pending.emplace_back(key, &ch);
   }
+  std::sort(pending.begin(), pending.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   if (reconcile_sink_) reconcile_sink_(t);
   NetStats& s = stats();
-  for (const std::uint64_t key : pending_keys) {
-    Channel& ch = channels_[key];
-    if (!ch.pending) continue;
-    if (ch.timer_armed) {
-      scheduler_->Cancel(ch.timer);
-      ch.timer_armed = false;
-    }
+  for (const auto& [key, ch] : pending) {
+    (void)key;
+    // The queued timer, if any, finds the channel settled and lapses.
+    if (!ch->pending) continue;
     ++s.reconcile_deploys;
-    Transmit(ch, t, /*reliable=*/true);
+    Transmit(*ch, t, /*reliable=*/true);
   }
 }
 

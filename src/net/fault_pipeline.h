@@ -4,8 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -139,10 +139,16 @@ class FaultPipeline final : public NetworkModel {
   /// Retransmitting deploy channel, one per (query slot, stream) pair.
   /// `seq` is the last install the server issued, `applied_seq` the last
   /// the source applied; `pending` means the latest install is un-acked
-  /// and a retransmit timer is live. `sent_at` / `retransmitted` feed the
-  /// adaptive RTO estimator: an ack is RTT-sampled only when the current
-  /// seq was never retransmitted (Karn's rule).
+  /// and its retransmit timeout is due at (`rto_at`, `rto_seq`) — the
+  /// scheduler key the timer event must dispatch under. At most one timer
+  /// event is queued per channel (`timer_armed`, at `timer_at`); it may be
+  /// older than the key it serves and re-arms itself there when it fires
+  /// (DESIGN.md §11). `sent_at` / `retransmitted` feed the adaptive RTO
+  /// estimator: an ack is RTT-sampled only when the current seq was never
+  /// retransmitted (Karn's rule). `owner` lets a deploy copy's event reach
+  /// the pipeline without capturing it (see Transmit).
   struct Channel {
+    FaultPipeline* owner = nullptr;
     std::size_t slot = 0;
     StreamId id = 0;
     std::uint64_t seq = 0;
@@ -150,7 +156,10 @@ class FaultPipeline final : public NetworkModel {
     FilterConstraint constraint;
     bool pending = false;
     std::uint32_t attempt = 0;
+    SimTime rto_at = 0;
+    std::uint64_t rto_seq = 0;
     EventId timer = 0;
+    SimTime timer_at = 0;
     bool timer_armed = false;
     SimTime sent_at = 0;
     bool retransmitted = false;
@@ -170,11 +179,13 @@ class FaultPipeline final : public NetworkModel {
   SimTime CtlDelay();
   void Transmit(Channel& ch, SimTime now, bool reliable);
   void ArmTimer(Channel& ch, SimTime now);
-  void OnDeployArrival(std::size_t slot, StreamId id, std::uint64_t seq,
+  /// Queues the channel's timer event at (rto_at, rto_seq).
+  void QueueTimer(Channel& ch);
+  void OnDeployArrival(Channel& ch, std::uint64_t seq,
                        const FilterConstraint& constraint, SimTime at,
                        bool want_ack);
-  void OnDeployAck(std::size_t slot, StreamId id, std::uint64_t seq);
-  void OnDeployTimeout(std::size_t slot, StreamId id);
+  void OnDeployAck(Channel& ch, std::uint64_t seq);
+  void OnDeployTimeout(Channel& ch, std::uint64_t timer_seq);
   void OnReconnect(SimTime t);
 
   const NetConfig config_;
@@ -200,8 +211,9 @@ class FaultPipeline final : public NetworkModel {
   std::uint64_t stash_crossings_ = 0;
   /// Deploy/ack wire copies currently in transit.
   std::uint64_t pending_ctl_wire_ = 0;
-  /// Ordered so reconnect replay iterates deterministically.
-  std::map<std::uint64_t, Channel> channels_;
+  /// Never erased, so scheduled events address a channel by pointer;
+  /// reconnect replay sorts the keys it visits.
+  std::unordered_map<std::uint64_t, Channel> channels_;
   ReconcileSink reconcile_sink_;
 };
 

@@ -465,16 +465,17 @@ class InlineDeliveryBase : public NetworkModel {
     for (const Payload& p : payloads) AddInFlight(p.slot);
     ++pending_wire_;
     pending_crossings_ += payloads.size();
-    scheduler_->ScheduleAt(
-        at, [this, id, at, payloads = std::move(payloads)]() mutable {
-          --pending_wire_;
-          OnWireDelivered(id);
-          for (const Payload& p : payloads) {
-            SubInFlight(p.slot);
-            pending_crossings_ -= p.crossings;
-          }
-          EmitUpdate(id, payloads, at, /*sample_delay=*/true);
-        });
+    auto arrive = [this, id, at, payloads = std::move(payloads)]() mutable {
+      --pending_wire_;
+      OnWireDelivered(id);
+      for (const Payload& p : payloads) {
+        SubInFlight(p.slot);
+        pending_crossings_ -= p.crossings;
+      }
+      EmitUpdate(id, payloads, at, /*sample_delay=*/true);
+    };
+    static_assert(sizeof(arrive) <= EventCallback::kInlineSize);
+    scheduler_->ScheduleFifo(at, std::move(arrive));
   }
 
   /// Model hook run when a scheduled wire message leaves the network
@@ -535,11 +536,18 @@ class FixedLatencyNet final : public InlineDeliveryBase {
     }
     const SimTime at = NextDelivery(&downlink_last_, id, now);
     ++pending_wire_;
-    scheduler_->ScheduleAt(at, [this, slot, id, constraint, at] {
+    // (slot, id) packed into one word keeps the capture inline.
+    ASF_DCHECK(slot <= 0xffffffffu);
+    const std::uint64_t link = (static_cast<std::uint64_t>(slot) << 32) | id;
+    auto arrive = [this, link, constraint] {
       --pending_wire_;
       ++stats_.deploy_messages;
-      deploy_sink_(slot, id, constraint, at);
-    });
+      deploy_sink_(static_cast<std::size_t>(link >> 32),
+                   static_cast<StreamId>(link), constraint,
+                   scheduler_->now());
+    };
+    static_assert(sizeof(arrive) <= EventCallback::kInlineSize);
+    scheduler_->ScheduleFifo(at, std::move(arrive));
   }
 
  private:

@@ -100,8 +100,8 @@ std::uint64_t Scheduler::ReserveSeqs(std::uint64_t count) {
   return base;
 }
 
-EventId Scheduler::ScheduleAtReserved(SimTime t, std::uint64_t seq,
-                                      Callback fn) {
+Scheduler::HeapNode Scheduler::Arm(SimTime t, std::uint64_t seq,
+                                   Callback&& fn, EventId* id) {
   ASF_CHECK_MSG(t >= now_, "cannot schedule into the past");
   ASF_CHECK(static_cast<bool>(fn));
   ASF_CHECK_MSG(seq < next_seq_, "sequence number was never reserved");
@@ -111,9 +111,41 @@ EventId Scheduler::ScheduleAtReserved(SimTime t, std::uint64_t seq,
   s.seq = seq;
   s.armed = true;
   ++live_;
-  HeapPush(MakeNode(t, s.seq, index));
-  return (static_cast<EventId>(s.generation) << 32) |
-         static_cast<EventId>(index);
+  *id = (static_cast<EventId>(s.generation) << 32) |
+        static_cast<EventId>(index);
+  return MakeNode(t, seq, index);
+}
+
+EventId Scheduler::ScheduleAtReserved(SimTime t, std::uint64_t seq,
+                                      Callback fn) {
+  EventId id;
+  HeapPush(Arm(t, seq, std::move(fn), &id));
+  return id;
+}
+
+EventId Scheduler::ScheduleFifo(SimTime t, Callback fn) {
+  EventId id;
+  const HeapNode node = Arm(t, ReserveSeqs(1), std::move(fn), &id);
+  if (lane_.empty() || !Before(node, lane_.back())) {
+    lane_.push_back(node);
+  } else {
+    HeapPush(node);
+  }
+  return id;
+}
+
+void Scheduler::Lane::push_back(HeapNode node) {
+  if (size == ring.size()) {
+    // Unroll into a ring twice the size, oldest node first.
+    std::vector<HeapNode> grown(ring.empty() ? kChunkSize : 2 * ring.size());
+    for (std::size_t i = 0; i < size; ++i) {
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring.swap(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = node;
+  ++size;
 }
 
 bool Scheduler::Cancel(EventId id) {
@@ -127,17 +159,22 @@ bool Scheduler::Cancel(EventId id) {
 }
 
 const Scheduler::HeapNode* Scheduler::PeekLive() {
-  while (!heap_.empty()) {
-    // With no cancelled events in flight every heap node is live; skip the
-    // slab validation entirely (the common case on the hot path).
-    if (tombstones_ == 0) return &heap_[0];
-    const HeapNode& top = heap_[0];
-    const Slot& s = slot(NodeSlot(top));
-    if (s.armed && s.seq == NodeSeq(top)) return &top;
-    HeapPopRoot();  // tombstone of a cancelled (possibly recycled) event
-    --tombstones_;
+  // With no cancelled events in flight every queued node is live; skip the
+  // slab validation entirely (the common case on the hot path).
+  if (tombstones_ > 0) {
+    // Tombstones of cancelled (possibly recycled) events.
+    while (!heap_.empty() && !Live(heap_[0])) {
+      HeapPopRoot();
+      --tombstones_;
+    }
+    while (!lane_.empty() && !Live(lane_.front())) {
+      lane_.pop_front();
+      --tombstones_;
+    }
   }
-  return nullptr;
+  if (lane_.empty()) return heap_.empty() ? nullptr : &heap_[0];
+  if (!heap_.empty() && Before(heap_[0], lane_.front())) return &heap_[0];
+  return &lane_.front();
 }
 
 SimTime Scheduler::NextEventTime() {
@@ -150,7 +187,15 @@ bool Scheduler::Step() {
   const HeapNode* next = PeekLive();
   if (next == nullptr) return false;
   const HeapNode node = *next;
-  HeapPopRoot();
+  if (!lane_.empty() && next == &lane_.front()) {
+    lane_.pop_front();
+    // The next lane event's slot was filled a whole delay ago and is
+    // likely out of cache; fetch it while this callback runs.
+    if (!lane_.empty()) __builtin_prefetch(&slot(NodeSlot(lane_.front())));
+  } else {
+    HeapPopRoot();
+    if (!heap_.empty()) __builtin_prefetch(&slot(NodeSlot(heap_[0])));
+  }
   ASF_DCHECK(node.time() >= now_);
   // Dispatch in place: the slot stays occupied (so a nested ScheduleAt
   // cannot reuse it) but its generation is bumped first, so the running

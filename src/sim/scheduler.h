@@ -33,6 +33,13 @@
 /// EventCallback::kInlineSize bytes are stored inline (no heap
 /// allocation), and cancellation uses generation-tagged tombstones — no
 /// hash sets anywhere on the hot path.
+///
+/// Next to the heap sits a FIFO lane for constant-delay traffic
+/// (ScheduleFifo): a ring of keys that are already in (time, seq) order,
+/// so appending and popping cost O(1) instead of O(log n). A key that
+/// would land before the lane's tail goes to the heap instead, and
+/// dispatch takes the smaller of the two heads, so the order is exactly
+/// (time, seq) whichever structure an event sits in.
 
 namespace asf {
 
@@ -168,6 +175,12 @@ class Scheduler {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
+  /// ScheduleAt for traffic whose times mostly arrive in order (deliveries
+  /// at now + constant delay): same sequence number, same dispatch order,
+  /// but the event is appended to the FIFO lane in O(1) when its key is
+  /// not before the lane's tail. Out-of-order times fall back to the heap.
+  EventId ScheduleFifo(SimTime t, Callback fn);
+
   /// Reserves `count` consecutive sequence numbers and returns the first.
   /// Dispatch order is (time, seq) no matter when an event is inserted,
   /// so a caller can fix the FIFO tie-order of a whole family of events
@@ -184,9 +197,9 @@ class Scheduler {
   EventId ScheduleAtReserved(SimTime t, std::uint64_t seq, Callback fn);
 
   /// Cancels a pending event in O(1): the slab slot is released for reuse
-  /// immediately and the heap key becomes a generation-mismatched
-  /// tombstone, discarded lazily when it reaches the top. Returns false if
-  /// the event already ran, was already cancelled, or never existed.
+  /// immediately and the queued key (heap or lane) becomes a tombstone,
+  /// discarded lazily when it reaches the head. Returns false if the
+  /// event already ran, was already cancelled, or never existed.
   bool Cancel(EventId id);
 
   /// Runs the single next event. Returns false if the queue is empty.
@@ -295,8 +308,19 @@ class Scheduler {
   /// every outstanding heap key / EventId referring to it goes stale.
   void ReleaseSlot(std::uint32_t index);
 
-  /// Discards tombstones at the heap top, then returns the next live node
-  /// (nullptr if none). The single place the tombstone skip logic lives.
+  /// Fills a slot with `fn` under `seq` and returns the node and handle
+  /// that ScheduleAtReserved / ScheduleFifo then queue.
+  HeapNode Arm(SimTime t, std::uint64_t seq, Callback&& fn, EventId* id);
+
+  /// True when `node` still refers to its (uncancelled) event.
+  bool Live(const HeapNode& node) {
+    const Slot& s = slot(NodeSlot(node));
+    return s.armed && s.seq == NodeSeq(node);
+  }
+
+  /// Discards tombstones at the heap top and the lane head, then returns
+  /// the smaller live head (nullptr if none). The single place the
+  /// tombstone skip logic lives.
   const HeapNode* PeekLive();
 
   void HeapPush(HeapNode node);
@@ -323,11 +347,30 @@ class Scheduler {
     bool empty() const { return size == 0; }
   };
 
+  /// FIFO lane: a power-of-two ring of nodes in nondecreasing key order.
+  struct Lane {
+    std::vector<HeapNode> ring;
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    bool empty() const { return size == 0; }
+    const HeapNode& front() const { return ring[head]; }
+    const HeapNode& back() const {
+      return ring[(head + size - 1) & (ring.size() - 1)];
+    }
+    void pop_front() {
+      head = (head + 1) & (ring.size() - 1);
+      --size;
+    }
+    void push_back(HeapNode node);
+  };
+
   AlignedHeap heap_;
+  Lane lane_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;
   std::size_t live_ = 0;
-  std::size_t tombstones_ = 0;  ///< cancelled events still in the heap
+  std::size_t tombstones_ = 0;  ///< cancelled events still in heap or lane
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;

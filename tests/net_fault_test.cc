@@ -9,6 +9,7 @@
 #include "engine/system.h"
 #include "net/fault_pipeline.h"
 #include "net/network_model.h"
+#include "net_counters.h"
 #include "sim/scheduler.h"
 
 /// \file
@@ -16,9 +17,10 @@
 /// §11): the composable `--net=` stage grammar, the zero-rate ≡ instant
 /// contract, seed-determinism of the fault schedule (serial and sharded),
 /// the crossing conservation invariant, the deploy retransmission state
-/// machine (timeout, duplicate suppression, supersession, backoff cap),
-/// probe failover, bounded reordering, partition-reconnect reconciliation,
-/// and staleness compensation.
+/// machine (timeout, duplicate suppression, supersession, backoff cap,
+/// lazily re-armed timers), RTP counters pinned across commits, probe
+/// failover, bounded reordering, partition-reconnect reconciliation, and
+/// staleness compensation.
 
 namespace asf {
 namespace {
@@ -194,28 +196,11 @@ void ExpectSameRun(const RunResult& a, const RunResult& b,
 
 void ExpectSameNetStats(const NetStats& a, const NetStats& b,
                         const char* label) {
-  EXPECT_EQ(a.crossings, b.crossings) << label;
-  EXPECT_EQ(a.update_messages, b.update_messages) << label;
-  EXPECT_EQ(a.update_payloads, b.update_payloads) << label;
-  EXPECT_EQ(a.delivered_crossings, b.delivered_crossings) << label;
-  EXPECT_EQ(a.dropped_loss, b.dropped_loss) << label;
-  EXPECT_EQ(a.dropped_partition, b.dropped_partition) << label;
-  EXPECT_EQ(a.dropped_retired, b.dropped_retired) << label;
-  EXPECT_EQ(a.suppressed_stale, b.suppressed_stale) << label;
-  EXPECT_EQ(a.deploy_attempts, b.deploy_attempts) << label;
-  EXPECT_EQ(a.deploy_retransmits, b.deploy_retransmits) << label;
-  EXPECT_EQ(a.deploy_dropped, b.deploy_dropped) << label;
-  EXPECT_EQ(a.deploy_acks, b.deploy_acks) << label;
-  EXPECT_EQ(a.deploy_dup_suppressed, b.deploy_dup_suppressed) << label;
-  EXPECT_EQ(a.deploy_stale_acks, b.deploy_stale_acks) << label;
-  EXPECT_EQ(a.deploy_unacked_at_end, b.deploy_unacked_at_end) << label;
-  EXPECT_EQ(a.probe_retransmits, b.probe_retransmits) << label;
-  EXPECT_EQ(a.probe_failovers, b.probe_failovers) << label;
-  EXPECT_EQ(a.reconcile_exchanges, b.reconcile_exchanges) << label;
-  EXPECT_EQ(a.reconcile_deploys, b.reconcile_deploys) << label;
-  EXPECT_EQ(a.in_flight_at_end, b.in_flight_at_end) << label;
-  EXPECT_EQ(a.in_flight_crossings_at_end, b.in_flight_crossings_at_end)
-      << label;
+  const auto ca = NetCounters(a);
+  const auto cb = NetCounters(b);
+  for (std::size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(ca[i].second, cb[i].second) << label << " " << ca[i].first;
+  }
 }
 
 /// The crossing conservation invariant (DESIGN.md §11): every crossing the
@@ -316,6 +301,89 @@ TEST(NetFaultShardedTest, SerialMatchesShardedUnderFaults) {
       ExpectSameNetStats(serial->net, sharded->net, spec);
     }
     ExpectConservation(serial->net, spec);
+  }
+}
+
+// ------------------------------------ cross-commit identity pin (RTP)
+
+SystemConfig PinConfig(const char* spec, std::size_t shards) {
+  SystemConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 300;
+  walk.seed = 41;
+  config.source = SourceSpec::Walk(walk);
+  config.query = QuerySpec::Knn(10, 500);
+  config.protocol = ProtocolKind::kRtp;
+  config.rank_r = 4;
+  config.duration = 300;
+  config.seed = 41;
+  config.oracle.sample_interval = 20;
+  config.shards = shards;
+  config.net = ParseNetSpec(spec).value();
+  return config;
+}
+
+/// RTP k-NN under delayed, lossy, partitioned and reordering nets, with
+/// every counter pinned to the values of the engine before the event
+/// kernel grew its FIFO lane and the retransmit timers became lazy. The
+/// serial/sharded and replay tests compare two runs of the same code; only
+/// a pin notices a kernel change that reorders equal-time events in both.
+TEST(NetFaultPinTest, RtpKnnCountersMatchRecordedValues) {
+  struct Pin {
+    const char* spec;
+    std::size_t shards;
+    /// updates generated, updates reported, reinits, init messages, and
+    /// maintenance value updates, probe requests, deploys, total.
+    std::uint64_t run[8];
+    /// NetCounters order.
+    std::uint64_t net[24];
+  };
+  const Pin kPins[] = {
+      {"latency:4+loss:0.05:3", 1,
+       {4491, 218, 0, 897, 218, 560, 12300, 13936},
+       {225, 218, 218, 218, 11798, 1151, 0, 0, 571, 0, 7, 0, 0, 12792, 192,
+        1134, 3076, 94, 8011, 300, 232, 10, 0, 0}},
+      {"latency:2:1+loss:0.1+partition:50,80,150,160", 1,
+       {4491, 751, 0, 900, 751, 574, 12600, 14794},
+       {212, 180, 180, 180, 9931, 1165, 0, 0, 34, 1, 13, 18, 0, 13437, 507,
+        2492, 3586, 2200, 7296, 87, 285, 0, 600, 30}},
+      {"latency:1+loss:0.2+rto:1", 1,
+       {4491, 142, 0, 900, 142, 574, 12600, 14188},
+       {171, 142, 142, 142, 12094, 1165, 0, 0, 75, 1, 28, 0, 0, 25145, 12245,
+        8975, 8227, 7971, 7869, 37, 632, 0, 0, 0}},
+      {"batch:2+loss:0.1:4+reorder:3", 1,
+       {4491, 70, 0, 887, 70, 336, 7200, 7933},
+       {174, 77, 77, 77, 7312, 636, 0, 0, 85, 85, 12, 0, 7, 8797, 1297, 1710,
+        6542, 644, 545, 15, 424, 22, 0, 0}},
+      {"latency:2:1+loss:0.1+partition:50,80,150,160", 3,
+       {4491, 751, 0, 900, 751, 574, 12600, 14794},
+       {212, 180, 180, 180, 9931, 1165, 0, 0, 34, 1, 13, 18, 0, 13437, 507,
+        2492, 3586, 2200, 7296, 87, 285, 0, 600, 30}},
+  };
+  for (const Pin& pin : kPins) {
+    auto run = RunSystem(PinConfig(pin.spec, pin.shards));
+    ASSERT_TRUE(run.ok()) << pin.spec;
+    const MessageStats& m = run->messages;
+    const std::uint64_t got[8] = {
+        run->updates_generated,
+        run->updates_reported,
+        run->reinits,
+        m.InitTotal(),
+        m.count(MessagePhase::kMaintenance, MessageType::kValueUpdate),
+        m.count(MessagePhase::kMaintenance, MessageType::kProbeRequest),
+        m.count(MessagePhase::kMaintenance, MessageType::kFilterDeploy),
+        run->MaintenanceMessages()};
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(got[i], pin.run[i]) << pin.spec << " s" << pin.shards
+                                    << " run[" << i << "]";
+    }
+    const auto net = NetCounters(run->net);
+    ASSERT_EQ(net.size(), 24u);
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      EXPECT_EQ(net[i].second, pin.net[i])
+          << pin.spec << " s" << pin.shards << " " << net[i].first;
+    }
+    ExpectConservation(run->net, pin.spec);
   }
 }
 
@@ -482,6 +550,93 @@ TEST(NetDeployStateMachineTest, BackoffIsCappedAtRtoMax) {
   EXPECT_EQ(stats.deploy_unacked_at_end, 1u);
   EXPECT_EQ(rig.deploys.size(), 0u);
   EXPECT_EQ(stats.deploy_messages, 0u);
+}
+
+/// Lazy re-arm, case (a): a superseding send whose backoff is *shorter*
+/// than the queued timer's moves the timer forward. Inside a partition
+/// with rto:5 the first install times out at t=5 and its retransmit is
+/// due at 15; a fresh install at t=6 restarts the backoff, so the next
+/// retransmit fires at 6 + 5 = 11 (then 11 + 10 = 21), never at 15.
+TEST(NetDeployStateMachineTest, ShorterSupersedingBackoffFiresAtNewDeadline) {
+  auto net = ParseNetSpec("partition:0,1000+rto:5+norecon");
+  ASSERT_TRUE(net.ok());
+  FaultRig rig(*net);
+  const NetStats& stats = rig.net->stats();
+
+  rig.net->SendDeploy(/*slot=*/0, /*id=*/2,
+                      FilterConstraint::Range(Interval(100, 200)), 0);
+  rig.scheduler.RunUntil(6);
+  EXPECT_EQ(stats.deploy_retransmits, 1u);  // t=5
+  rig.net->SendDeploy(/*slot=*/0, /*id=*/2,
+                      FilterConstraint::Range(Interval(120, 180)), 6);
+  rig.scheduler.RunUntil(10.5);
+  EXPECT_EQ(stats.deploy_retransmits, 1u);
+  rig.scheduler.RunUntil(11);
+  EXPECT_EQ(stats.deploy_retransmits, 2u);  // t=11
+  rig.scheduler.RunUntil(20.5);
+  EXPECT_EQ(stats.deploy_retransmits, 2u);  // nothing at the stale t=15
+  rig.scheduler.RunUntil(21);
+  EXPECT_EQ(stats.deploy_retransmits, 3u);  // t=21
+  EXPECT_EQ(stats.deploy_attempts, 5u);
+}
+
+/// Lazy re-arm, case (b): a superseding send with a *later* deadline
+/// leaves the queued timer in place. It fires at the old deadline (t=5),
+/// finds itself superseded and re-arms; the only retransmit is at the new
+/// deadline 2 + 5 = 7, the next one at 7 + 10 = 17.
+TEST(NetDeployStateMachineTest, LaterSupersedingDeadlineRetransmitsOnce) {
+  auto net = ParseNetSpec("partition:0,1000+rto:5+norecon");
+  ASSERT_TRUE(net.ok());
+  FaultRig rig(*net);
+  const NetStats& stats = rig.net->stats();
+
+  rig.net->SendDeploy(/*slot=*/1, /*id=*/4,
+                      FilterConstraint::Range(Interval(100, 200)), 0);
+  rig.scheduler.RunUntil(2);
+  rig.net->SendDeploy(/*slot=*/1, /*id=*/4,
+                      FilterConstraint::Range(Interval(120, 180)), 2);
+  rig.scheduler.RunUntil(6.5);
+  EXPECT_EQ(stats.deploy_retransmits, 0u);  // the superseded t=5 timeout
+  rig.scheduler.RunUntil(7);
+  EXPECT_EQ(stats.deploy_retransmits, 1u);
+  rig.scheduler.RunUntil(16.5);
+  EXPECT_EQ(stats.deploy_retransmits, 1u);
+  rig.scheduler.RunUntil(17);
+  EXPECT_EQ(stats.deploy_retransmits, 2u);
+  EXPECT_EQ(stats.deploy_attempts, 4u);
+}
+
+/// Case (c): a timeout and an ack due at the same instant. The timer was
+/// armed when its install was sent, before the ack was scheduled, so it
+/// runs first (FIFO at equal times) even after a lazy re-arm: A at t=0
+/// queues a timer for t=4; B at t=1 is due at t=5 and leaves it queued;
+/// at t=4 it re-arms for B. At t=5 B's timeout retransmits, then B's ack
+/// (sent at t=3) settles the channel; the retransmitted copy arrives at
+/// t=7 as a duplicate whose ack is stale.
+TEST(NetDeployStateMachineTest, TimeoutRunsBeforeAckAtTheSameInstant) {
+  auto net = ParseNetSpec("latency:2+partition:900,901+rto:4+norecon");
+  ASSERT_TRUE(net.ok());
+  FaultRig rig(*net);
+
+  const FilterConstraint a = FilterConstraint::Range(Interval(400, 600));
+  const FilterConstraint b = FilterConstraint::Range(Interval(450, 550));
+  rig.net->SendDeploy(/*slot=*/2, /*id=*/5, a, 0);
+  rig.scheduler.RunUntil(1);
+  rig.net->SendDeploy(/*slot=*/2, /*id=*/5, b, 1);
+  rig.scheduler.RunUntil(30);
+  rig.net->Finalize(30);
+
+  ASSERT_EQ(rig.deploys.size(), 2u);
+  EXPECT_DOUBLE_EQ(rig.deploys[0].at, 2.0);
+  EXPECT_DOUBLE_EQ(rig.deploys[1].at, 3.0);
+  const NetStats& stats = rig.net->stats();
+  EXPECT_EQ(stats.deploy_retransmits, 1u);  // the timer won the tie
+  EXPECT_EQ(stats.deploy_attempts, 3u);
+  EXPECT_EQ(stats.deploy_acks, 1u);
+  EXPECT_EQ(stats.deploy_stale_acks, 2u);  // A's, and the duplicate's
+  EXPECT_EQ(stats.deploy_dup_suppressed, 1u);
+  EXPECT_EQ(stats.deploy_unacked_at_end, 0u);
+  EXPECT_EQ(stats.in_flight_at_end, 0u);
 }
 
 // ----------------------------------------------------- probe resilience

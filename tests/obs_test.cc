@@ -6,9 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "engine/churn.h"
+#include "engine/multi_system.h"
 #include "engine/system.h"
 #include "metrics/bench_json.h"
 #include "net/network_model.h"
+#include "net_counters.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -260,86 +263,211 @@ TEST(TelemetryTest, NetBlockGatesOnDelayingModel) {
 
 // --- Inertness: the acceptance criterion ---
 
-SystemConfig ObsTestConfig(std::size_t shards) {
+struct InertnessCase {
+  const char* label;
+  ProtocolKind protocol;
+  QuerySpec query;
+  FractionTolerance fraction;
+  std::size_t rank_r;
+};
+
+/// The six protocols: range queries under ε± = 0.2, rank queries as a
+/// top-20 with ε+ = 0.3 and RTP slack r = 5.
+const InertnessCase kInertnessCases[] = {
+    {"no-filter", ProtocolKind::kNoFilter, QuerySpec::Range(400, 600),
+     {0.2, 0.2}, 0},
+    {"zt-nrp", ProtocolKind::kZtNrp, QuerySpec::Range(400, 600), {0.2, 0.2},
+     0},
+    {"ft-nrp", ProtocolKind::kFtNrp, QuerySpec::Range(400, 600), {0.2, 0.2},
+     0},
+    {"rtp", ProtocolKind::kRtp, QuerySpec::TopK(20), {0.3, 0}, 5},
+    {"zt-rp", ProtocolKind::kZtRp, QuerySpec::TopK(20), {0.3, 0}, 5},
+    {"ft-rp", ProtocolKind::kFtRp, QuerySpec::TopK(20), {0.3, 0}, 5},
+};
+
+constexpr SimTime kObsDuration = 900;
+constexpr SimTime kObsMetricsEvery = 100;
+
+SystemConfig ObsTestConfig(const InertnessCase& c, std::size_t shards,
+                           const char* net) {
   SystemConfig config;
   RandomWalkConfig walk;
-  walk.num_streams = 300;
+  walk.num_streams = 500;
   walk.seed = 5;
   config.source = SourceSpec::Walk(walk);
-  config.duration = 400;
+  config.duration = kObsDuration;
   config.seed = 5;
   config.shards = shards;
-  config.query = QuerySpec::Range(400, 600);
-  config.protocol = ProtocolKind::kFtNrp;
-  config.fraction.eps_plus = 0.2;
-  config.fraction.eps_minus = 0.2;
-  config.net = ParseNetSpec("batch:5").value();
-  config.oracle.sample_interval = 50;
+  config.query = c.query;
+  config.protocol = c.protocol;
+  config.fraction = c.fraction;
+  config.rank_r = c.rank_r;
+  config.net = ParseNetSpec(net).value();
+  config.oracle.sample_interval = 120;
   return config;
 }
 
-void ExpectIdenticalResults(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.MaintenanceMessages(), b.MaintenanceMessages());
-  EXPECT_EQ(a.messages.InitTotal(), b.messages.InitTotal());
-  EXPECT_EQ(a.updates_generated, b.updates_generated);
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_DOUBLE_EQ(a.update_delay.mean(), b.update_delay.mean());
-  EXPECT_EQ(a.net.update_messages, b.net.update_messages);
-  EXPECT_EQ(a.net.crossings, b.net.crossings);
-  EXPECT_EQ(a.net.update_payloads, b.net.update_payloads);
-}
-
-void RunInertnessCase(std::size_t shards) {
-  const auto baseline = RunSystem(ObsTestConfig(shards));
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
+/// Attaches every facility (all trace categories, metrics snapshots,
+/// profiler) to `hooks`.
+struct ObsFacilities {
   obs::Tracer tracer;
   obs::MetricsRegistry registry;
   obs::Profiler profiler;
-  SystemConfig config = ObsTestConfig(shards);
-  config.obs.tracer = &tracer;
-  config.obs.metrics = &registry;
-  config.obs.metrics_every = 25;
-  config.obs.profiler = &profiler;
-  const auto observed = RunSystem(config);
-  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
 
-  ExpectIdenticalResults(*baseline, *observed);
-  // The facilities actually ran: snapshots on the sim-time grid
-  // (400 / 25 = 16) and, when compiled in, trace records.
-  EXPECT_EQ(registry.series().size(), 16u);
-#if ASF_OBS_TRACE_COMPILED
-  EXPECT_GT(tracer.total_records(), 0u);
-  // Per-ring sim-time ordering: each ring is written by one thread in
-  // dispatch order.
-  for (std::size_t r = 0; r < tracer.ring_count(); ++r) {
-    double last = -1e300;
-    std::uint64_t updates_in_ring = 0;
-    for (const obs::TraceRecord& record : tracer.ring(r).records()) {
-      if (record.type !=
-          static_cast<std::uint16_t>(obs::TraceEventType::kValueUpdate)) {
-        continue;
-      }
-      EXPECT_GE(record.time, last) << "ring " << r;
-      last = record.time;
-      ++updates_in_ring;
-    }
-    if (r < shards) EXPECT_GT(updates_in_ring, 0u) << "ring " << r;
+  void Attach(obs::ObsHooks* hooks) {
+    hooks->tracer = &tracer;
+    hooks->metrics = &registry;
+    hooks->metrics_every = kObsMetricsEvery;
+    hooks->profiler = &profiler;
   }
+
+  /// The facilities actually ran: snapshots on the sim-time grid and,
+  /// when compiled in, per-ring sim-time-ordered trace records (each ring
+  /// is written by one thread in dispatch order).
+  void ExpectRan(SimTime duration, std::size_t shards,
+                 const std::string& label) {
+    EXPECT_EQ(registry.series().size(),
+              static_cast<std::size_t>(duration / kObsMetricsEvery))
+        << label;
+#if ASF_OBS_TRACE_COMPILED
+    EXPECT_GT(tracer.total_records(), 0u) << label;
+    for (std::size_t r = 0; r < tracer.ring_count(); ++r) {
+      double last = -1e300;
+      std::uint64_t updates_in_ring = 0;
+      for (const obs::TraceRecord& record : tracer.ring(r).records()) {
+        if (record.type !=
+            static_cast<std::uint16_t>(obs::TraceEventType::kValueUpdate)) {
+          continue;
+        }
+        EXPECT_GE(record.time, last) << label << " ring " << r;
+        last = record.time;
+        ++updates_in_ring;
+      }
+      if (r < shards) {
+        EXPECT_GT(updates_in_ring, 0u) << label << " ring " << r;
+      }
+    }
 #endif
-  EXPECT_GT(profiler.Merged().total(), 0.0);
+    EXPECT_GT(profiler.Merged().total(), 0.0) << label;
+  }
+};
+
+void ExpectSameNet(const NetStats& a, const NetStats& b,
+                   const std::string& label) {
+  const auto ca = NetCounters(a);
+  const auto cb = NetCounters(b);
+  for (std::size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(ca[i].second, cb[i].second) << label << " " << ca[i].first;
+  }
+  EXPECT_EQ(a.delay.count(), b.delay.count()) << label;
+  EXPECT_DOUBLE_EQ(a.delay.mean(), b.delay.mean()) << label;
 }
 
-TEST(ObsInertnessTest, SerialEngineResultsAreByteIdentical) {
-  RunInertnessCase(1);
+void ExpectSameMessages(const MessageStats& a, const MessageStats& b,
+                        const std::string& label) {
+  for (int phase = 0; phase < kNumMessagePhases; ++phase) {
+    for (int type = 0; type < kNumMessageTypes; ++type) {
+      EXPECT_EQ(a.count(static_cast<MessagePhase>(phase),
+                        static_cast<MessageType>(type)),
+                b.count(static_cast<MessagePhase>(phase),
+                        static_cast<MessageType>(type)))
+          << label << " phase=" << phase << " type=" << type;
+    }
+  }
 }
 
-TEST(ObsInertnessTest, ShardedEngineResultsAreByteIdentical) {
-  RunInertnessCase(3);
+void ExpectIdenticalResults(const RunResult& a, const RunResult& b,
+                            const std::string& label) {
+  ExpectSameMessages(a.messages, b.messages, label);
+  EXPECT_EQ(a.updates_generated, b.updates_generated) << label;
+  EXPECT_EQ(a.updates_reported, b.updates_reported) << label;
+  EXPECT_EQ(a.reinits, b.reinits) << label;
+  EXPECT_EQ(a.oracle_checks, b.oracle_checks) << label;
+  EXPECT_EQ(a.oracle_violations, b.oracle_violations) << label;
+  EXPECT_EQ(a.oracle_violations_in_flight, b.oracle_violations_in_flight)
+      << label;
+  EXPECT_DOUBLE_EQ(a.max_f_plus, b.max_f_plus) << label;
+  EXPECT_DOUBLE_EQ(a.max_f_minus, b.max_f_minus) << label;
+  EXPECT_EQ(a.answer_size.count(), b.answer_size.count()) << label;
+  EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean()) << label;
+  EXPECT_DOUBLE_EQ(a.update_delay.mean(), b.update_delay.mean()) << label;
+  ExpectSameNet(a.net, b.net, label);
+}
+
+/// Six protocols × shards {1, 4}, on a batched net and on a delayed lossy
+/// one (retransmitting deploys, probe retries): obs-on ≡ obs-off.
+TEST(ObsInertnessTest, ProtocolsAndShardsAreByteIdentical) {
+  for (const char* net : {"batch:10", "latency:4+loss:0.05:3"}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      for (const InertnessCase& c : kInertnessCases) {
+        const std::string label = std::string(c.label) + " " + net +
+                                  " s" + std::to_string(shards);
+        const auto baseline = RunSystem(ObsTestConfig(c, shards, net));
+        ASSERT_TRUE(baseline.ok()) << label << baseline.status().ToString();
+        ObsFacilities facilities;
+        SystemConfig config = ObsTestConfig(c, shards, net);
+        facilities.Attach(&config.obs);
+        const auto observed = RunSystem(config);
+        ASSERT_TRUE(observed.ok()) << label << observed.status().ToString();
+        ExpectIdenticalResults(*baseline, *observed, label);
+        facilities.ExpectRan(kObsDuration, shards, label);
+      }
+    }
+  }
+}
+
+/// An open ZT-NRP population (arrival rate 0.2, mean lifetime 150) over
+/// 400 streams, serial and at four shards: obs-on ≡ obs-off per query.
+TEST(ObsInertnessTest, ChurnIsByteIdentical) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 400;
+  walk.seed = 5;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 800;
+  config.seed = 5;
+  ChurnSpec spec;
+  spec.arrival_rate = 0.2;
+  spec.mean_lifetime = 150;
+  spec.seed = 5;
+  ChurnMixEntry entry;
+  entry.protocol = ProtocolKind::kZtNrp;
+  spec.mix.push_back(entry);
+  auto deployments = ExpandChurn(spec, config.duration);
+  ASSERT_TRUE(deployments.ok());
+  config.queries = std::move(deployments).value();
+  ASSERT_GE(config.queries.size(), 100u);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    const std::string label = "churn s" + std::to_string(shards);
+    config.shards = shards;
+    config.obs = obs::ObsHooks{};
+    const auto baseline = RunMultiQuerySystem(config);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    ObsFacilities facilities;
+    facilities.Attach(&config.obs);
+    const auto observed = RunMultiQuerySystem(config);
+    ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+
+    EXPECT_EQ(baseline->updates_generated, observed->updates_generated);
+    EXPECT_EQ(baseline->physical_updates, observed->physical_updates);
+    EXPECT_EQ(baseline->peak_live_queries, observed->peak_live_queries);
+    ExpectSameNet(baseline->net, observed->net, label);
+    ASSERT_EQ(baseline->queries.size(), observed->queries.size());
+    for (std::size_t q = 0; q < baseline->queries.size(); ++q) {
+      const auto& a = baseline->queries[q];
+      const auto& b = observed->queries[q];
+      const std::string qlabel = label + " " + a.name;
+      ExpectSameMessages(a.messages, b.messages, qlabel);
+      EXPECT_EQ(a.updates_reported, b.updates_reported) << qlabel;
+      EXPECT_EQ(a.reinits, b.reinits) << qlabel;
+      EXPECT_EQ(a.oracle_checks, b.oracle_checks) << qlabel;
+      EXPECT_EQ(a.oracle_violations, b.oracle_violations) << qlabel;
+      EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean()) << qlabel;
+      EXPECT_DOUBLE_EQ(a.retired_at, b.retired_at) << qlabel;
+    }
+    facilities.ExpectRan(config.duration, shards, label);
+  }
 }
 
 }  // namespace

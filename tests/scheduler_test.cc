@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -312,6 +313,163 @@ TEST(SchedulerStressTest, MatchesNaiveReference) {
   std::size_t cancelled = 0;
   for (const RefEvent& e : ref) cancelled += e.cancelled && !e.fired;
   EXPECT_GT(cancelled, 10u);
+}
+
+/// A FIFO-lane event and a heap event with the same time run in
+/// scheduling order, whichever structure each sits in.
+TEST(SchedulerTest, FifoLaneAndHeapTiesRunInScheduleOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  s.ScheduleFifo(5.0, [&order] { order.push_back(1); });
+  s.ScheduleAt(5.0, [&order] { order.push_back(2); });
+  s.ScheduleFifo(5.0, [&order] { order.push_back(3); });
+  s.ScheduleFifo(2.0, [&order] { order.push_back(0); });  // out of order
+  s.ScheduleAt(4.0, [&order] { order.push_back(-1); });
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, -1, 1, 2, 3}));
+}
+
+/// Second reference check, for everything beyond plain ScheduleAt: the
+/// FIFO lane (appends in order and out of order), reserved sequence
+/// numbers materialized late, cancels aimed at the lane head and at nodes
+/// in the middle of the lane, and both RunUntil and RunBefore. The
+/// reference orders by the explicit (time, seq) pair, mirroring the
+/// kernel's seq counter.
+TEST(SchedulerStressTest, LaneAndReservedSeqsMatchNaiveReference) {
+  struct RefEvent {
+    SimTime time;
+    std::uint64_t seq;
+    bool fifo;
+    bool cancelled = false;
+    bool fired = false;
+  };
+  Scheduler s;
+  std::vector<RefEvent> ref;     // tag == index
+  std::vector<EventId> handles;  // handles[i] belongs to ref[i]
+  std::vector<std::uint64_t> reserved;  // reserved, not yet used
+  std::vector<int> real_order;
+  std::vector<int> ref_order;
+  std::uint64_t next_seq = 0;
+
+  std::uint64_t rng = 20261017;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng >> 33;
+  };
+  const auto ref_run = [&](SimTime horizon, bool inclusive) {
+    for (;;) {
+      std::size_t best = ref.size();
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        const RefEvent& e = ref[i];
+        if (e.cancelled || e.fired) continue;
+        if (inclusive ? e.time > horizon : e.time >= horizon) continue;
+        if (best == ref.size() || e.time < ref[best].time ||
+            (e.time == ref[best].time && e.seq < ref[best].seq)) {
+          best = i;
+        }
+      }
+      if (best == ref.size()) break;
+      ref[best].fired = true;
+      ref_order.push_back(static_cast<int>(best));
+    }
+  };
+  const auto add = [&](SimTime t, std::uint64_t seq, bool fifo, EventId id) {
+    ref.push_back(RefEvent{t, seq, fifo});
+    handles.push_back(id);
+  };
+  const auto record = [&real_order](int tag) {
+    return [&real_order, tag] { real_order.push_back(tag); };
+  };
+  const auto pending_fifo = [&] {
+    std::vector<std::size_t> out;  // in lane (seq) order
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      if (ref[i].fifo && !ref[i].cancelled && !ref[i].fired) out.push_back(i);
+    }
+    return out;
+  };
+
+  SimTime fifo_last = 0;  // latest in-order lane time handed out
+  std::size_t heap_fallbacks = 0, head_cancels = 0, middle_cancels = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t burst = 1 + next() % 10;
+    for (std::size_t b = 0; b < burst; ++b) {
+      const int tag = static_cast<int>(ref.size());
+      const std::uint64_t op = next() % 8;
+      if (op < 2) {
+        const SimTime t = s.now() + static_cast<double>(next() % 48) / 4.0;
+        add(t, next_seq++, false, s.ScheduleAt(t, record(tag)));
+      } else if (op < 5) {
+        // In order: the constant-delay pattern, ties included.
+        fifo_last = std::max(fifo_last, s.now()) +
+                    static_cast<double>(next() % 3) / 2.0;
+        add(fifo_last, next_seq++, true,
+            s.ScheduleFifo(fifo_last, record(tag)));
+      } else if (op < 6) {
+        // Out of order: lands before the lane's tail, so on the heap.
+        const SimTime t = s.now() + static_cast<double>(next() % 8) / 4.0;
+        heap_fallbacks += t < fifo_last;
+        add(t, next_seq++, true, s.ScheduleFifo(t, record(tag)));
+      } else if (op < 7) {
+        const std::uint64_t count = 1 + next() % 3;
+        const std::uint64_t base = s.ReserveSeqs(count);
+        ASSERT_EQ(base, next_seq);
+        for (std::uint64_t k = 0; k < count; ++k) {
+          reserved.push_back(base + k);
+        }
+        next_seq += count;
+      } else if (!reserved.empty()) {
+        // Materialize a random reserved seq strictly in the future, so its
+        // key is ahead of every dispatched one.
+        const std::size_t pick = next() % reserved.size();
+        const std::uint64_t seq = reserved[pick];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
+        const SimTime t =
+            s.now() + 0.25 + static_cast<double>(next() % 32) / 4.0;
+        add(t, seq, false, s.ScheduleAtReserved(t, seq, record(tag)));
+      }
+    }
+
+    // Cancels: the lane head, a node in the middle of the lane, and an
+    // arbitrary (possibly fired or cancelled) handle.
+    const std::vector<std::size_t> lane = pending_fifo();
+    if (!lane.empty() && next() % 3 == 0) {
+      EXPECT_TRUE(s.Cancel(handles[lane.front()]));
+      ref[lane.front()].cancelled = true;
+      ++head_cancels;
+    }
+    if (lane.size() > 2 && next() % 2 == 0) {
+      const std::size_t victim = lane[1 + next() % (lane.size() - 2)];
+      EXPECT_TRUE(s.Cancel(handles[victim]));
+      ref[victim].cancelled = true;
+      ++middle_cancels;
+    }
+    if (!handles.empty() && next() % 2 == 0) {
+      const std::size_t victim = next() % handles.size();
+      EXPECT_EQ(s.Cancel(handles[victim]),
+                !ref[victim].cancelled && !ref[victim].fired);
+      ref[victim].cancelled = true;
+    }
+
+    const SimTime horizon = s.now() + static_cast<double>(next() % 24) / 2.0;
+    if (next() % 2 == 0) {
+      s.RunUntil(horizon);
+      ref_run(horizon, /*inclusive=*/true);
+    } else {
+      s.RunBefore(horizon);
+      ref_run(horizon, /*inclusive=*/false);
+    }
+    ASSERT_EQ(real_order, ref_order) << "round " << round;
+  }
+
+  s.RunAll();
+  ref_run(1e18, /*inclusive=*/true);
+  EXPECT_EQ(real_order, ref_order);
+  EXPECT_EQ(s.pending(), 0u);
+  // Sanity: every path was exercised.
+  EXPECT_GT(real_order.size(), 1000u);
+  EXPECT_GT(heap_fallbacks, 20u);
+  EXPECT_GT(head_cancels, 20u);
+  EXPECT_GT(middle_cancels, 20u);
 }
 
 TEST(SchedulerDeathTest, SchedulingIntoThePastAborts) {
