@@ -220,6 +220,43 @@ TEST(ShardedCoreTest, ByteIdenticalOnChurnSchedule) {
   }
 }
 
+/// One churn population of a single protocol: FT-NRP ranges at ε± 0.2,
+/// or RTP k-NN with k = 10, r = 4.
+MultiQueryConfig PerUpdateAuditChurn(ProtocolKind protocol) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 200;
+  walk.seed = 1;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 300;
+  config.seed = 1;
+
+  ChurnSpec spec;
+  spec.arrival_rate = 0.3;
+  spec.mean_lifetime = 60;
+  spec.seed = 1;
+  ChurnMixEntry entry;
+  entry.protocol = protocol;
+  if (protocol == ProtocolKind::kRtp) {
+    entry.query_type = QuerySpec::Type::kRank;
+    entry.k = 10;
+    entry.rank_r = 4;
+  } else {
+    entry.eps_plus = 0.2;
+    entry.eps_minus = 0.2;
+  }
+  spec.mix = {entry};
+  auto deployments = ExpandChurn(spec, config.duration);
+  EXPECT_TRUE(deployments.ok());
+  if (deployments.ok()) config.queries = std::move(deployments).value();
+  return config;
+}
+
+// Auditing after every update and every delayed arrival re-judges each
+// live query at instants the periodic sampler never sees: deliveries that
+// land between generated updates, reconnect reconciliation, and audits
+// across retirements. The churn inputs cover all three over delayed,
+// batched and partitioned nets.
 TEST(ShardedCoreTest, ByteIdenticalWithPerUpdateOracle) {
   MultiQueryConfig config = ProtocolConfig(ProtocolKind::kFtNrp);
   config.duration = 200;
@@ -233,6 +270,45 @@ TEST(ShardedCoreTest, ByteIdenticalWithPerUpdateOracle) {
   auto sharded = RunMultiQuerySystem(sharded_config);
   ASSERT_TRUE(sharded.ok());
   ExpectSameResult(*serial, *sharded, "per-update oracle shards=3");
+
+  const char* kNets[] = {"instant", "latency:3:2", "batch:5",
+                         "latency:4+loss:0.05:3+partition:50,80,150,160"};
+  for (ProtocolKind protocol : {ProtocolKind::kFtNrp, ProtocolKind::kRtp}) {
+    for (const char* spec : kNets) {
+      const std::string label = "per-update oracle churn " +
+                                std::string(ProtocolKindName(protocol)) +
+                                " net=" + spec + " shards=3";
+      SCOPED_TRACE(label);
+      MultiQueryConfig churn = PerUpdateAuditChurn(protocol);
+      ASSERT_GE(churn.queries.size(), 50u);
+      auto net = ParseNetSpec(spec);
+      ASSERT_TRUE(net.ok()) << spec;
+      churn.net = *net;
+      churn.oracle.check_every_update = true;
+      churn.oracle.sample_interval = 0;
+
+      auto churn_serial = RunMultiQuerySystem(churn);
+      ASSERT_TRUE(churn_serial.ok()) << churn_serial.status().ToString();
+      churn.shards = 3;
+      auto churn_sharded = RunMultiQuerySystem(churn);
+      ASSERT_TRUE(churn_sharded.ok()) << churn_sharded.status().ToString();
+      ExpectSameResult(*churn_serial, *churn_sharded, label);
+      ExpectSameNet(churn_serial->net, churn_sharded->net);
+
+      // The schedule retires queries mid-run, and the audit judged them.
+      std::size_t retired = 0;
+      std::uint64_t checks = 0;
+      for (const auto& q : churn_serial->queries) {
+        if (q.retired_at < churn.duration) ++retired;
+        checks += q.oracle_checks;
+      }
+      EXPECT_GT(retired, 0u);
+      EXPECT_GT(checks, churn_serial->updates_generated);
+      if (!churn.net.partition.empty()) {
+        EXPECT_GT(churn_serial->net.reconcile_exchanges, 0u);
+      }
+    }
+  }
 }
 
 TEST(ShardedCoreTest, ByteIdenticalOnTraceSource) {
