@@ -129,27 +129,9 @@ MultiQueryResult RunAndFlatten(Core& core, const MultiQueryConfig& config) {
 
 Result<MultiQueryResult> RunMultiQuerySystem(const MultiQueryConfig& config) {
   ASF_RETURN_IF_ERROR(config.Validate());
-
-  SimulationCore::Options options;
-  options.source = config.source;
-  options.duration = config.duration;
-  options.query_start = config.query_start;
-  options.seed = config.seed;
-  options.oracle = config.oracle;
-  options.net = config.net;
-  options.dispatch = config.dispatch;
-  options.spill = config.spill;
-  options.obs = config.obs;
-  if (config.shards > 1) {
-    ShardedSimulationCore::Options sharded;
-    sharded.base = options;
-    sharded.shards = config.shards;
-    sharded.pin_threads = config.pin_threads;
-    ShardedSimulationCore core(sharded);
+  return RunOnEngine(config, [&config](auto& core) {
     return RunAndFlatten(core, config);
-  }
-  SimulationCore core(options);
-  return RunAndFlatten(core, config);
+  });
 }
 
 }  // namespace asf

@@ -1,27 +1,19 @@
 #ifndef ASF_ENGINE_QUERY_SLOT_H_
 #define ASF_ENGINE_QUERY_SLOT_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "engine/sim_core.h"
 #include "filter/filter_arena.h"
-#include "net/network_model.h"
 #include "storage/spill_log.h"
 
 /// \file
-/// The per-query server runtime shared by the serial and sharded engines.
-///
-/// Both engines deploy queries the same way — a detached filter view, a
-/// ServerContext over engine-built transport wires, a protocol RNG seeded
-/// from the run seed, a protocol instance — and account them the same way
-/// (oracle judgments, run-length answer-size samples). Keeping that in
-/// one place is load-bearing: the sharded engine's byte-identical
-/// contract (DESIGN.md §8) means any accounting drift between the two is
-/// a correctness bug, so the shared parts live here and the engines keep
-/// only what genuinely differs (how values are read and when events run).
-/// Internal to src/engine; not part of the public API.
+/// The per-query server runtime: a filter view, a ServerContext over
+/// transport wires, a protocol RNG seeded from the run seed, a protocol
+/// instance, and the query's books. engine/query_host.h wires, installs,
+/// serves and retires slots for both engines. Internal to src/engine; not
+/// part of the public API.
 
 namespace asf {
 namespace engine_internal {
@@ -67,68 +59,6 @@ struct QuerySlot {
   storage::RecordRef spilled;
   bool stats_resident = true;
 };
-
-/// Wires one deployment into `slot` in place: detached bank, server
-/// context over the transport the engine builds against the slot's bank
-/// pointer, protocol RNG seeded QuerySlotSeed(run_seed, index), protocol
-/// instance. In place because the wiring is self-referential — the
-/// context counts into slot->stats.messages and the transport captures
-/// slot->filters — so the slot must already live at its final address.
-void WireQuerySlot(QuerySlot* slot, const QueryDeployment& deployment,
-                   SimTime deploy_at, std::size_t num_streams,
-                   std::uint64_t run_seed, std::size_t index,
-                   const std::function<Transport(FilterBank*)>& make_transport);
-
-/// Judges the slot's current answer against the true stream values,
-/// accumulating the verdict into its stats.
-void JudgeSlot(QuerySlot& slot, const std::vector<Value>& values);
-
-/// Delivers one update payload that arrived at the server for this slot:
-/// counts the logical kValueUpdate, closes the run of unchanged
-/// answer-size samples, runs the protocol's Maintenance reaction, and
-/// samples the new answer size. This is the single accounting sink every
-/// engine and every NetworkModel delivery path funnels through — update
-/// accounting cannot drift between the serial engine, the sharded replay
-/// stage, and delayed delivery, because there is only one copy of it.
-/// `updates_generated` is the engine's global update counter at delivery
-/// time (the answer-size sample clock).
-void DeliverUpdateToSlot(QuerySlot& slot, StreamId id, Value v, SimTime t,
-                         std::uint64_t updates_generated);
-
-/// The wire-message arrival sink both engines bind as
-/// NetworkModel::UpdateSink (their OnNetUpdate): one physical message,
-/// per-payload delivery through DeliverUpdateToSlot, retired-query drop
-/// and reorder seq-floor suppression accounting, and staleness samples.
-/// Returns true when the engine must re-audit every live slot at this
-/// arrival instant (delayed delivery with every-update auditing, and at
-/// least one payload delivered); the engines differ only in where true
-/// values are read. One copy, like DeliverUpdateToSlot: the
-/// byte-identical contract cannot survive the two engines drifting here.
-bool DeliverWireMessage(const std::vector<std::unique_ptr<QuerySlot>>& slots,
-                        NetworkModel& net, bool net_delayed,
-                        bool audit_every_update,
-                        std::uint64_t updates_generated,
-                        std::uint64_t& physical_updates, StreamId id,
-                        const NetworkModel::Payload* payloads,
-                        std::size_t count, SimTime at);
-
-/// Appends the slot's pending run of unchanged answer-size samples (one
-/// per generated update, up to update number `upto`) in O(1).
-void FlushAnswerSamples(QuerySlot& slot, std::uint64_t upto);
-
-/// The partition-reconnect summary-vector exchange both engines bind as
-/// NetworkModel::ReconcileSink (DESIGN.md §11). Each reconnecting source
-/// reports the data half of its summary vector — its current value — and
-/// the server applies the entries its per-query view missed: the filter
-/// reference re-syncs for every live query, and values the cache is stale
-/// on are delivered as ordinary (charged) reports so the protocol repairs
-/// its answer. The deploy half (still-unacked constraint installs) is
-/// replayed by the fault pipeline itself over the same handshake. One
-/// copy for both engines, like DeliverWireMessage: reconciliation must
-/// not drift between serial and sharded replay.
-void ReconcileSlots(const std::vector<std::unique_ptr<QuerySlot>>& slots,
-                    const std::vector<Value>& values, NetworkModel& net,
-                    std::uint64_t updates_generated, SimTime at);
 
 }  // namespace engine_internal
 }  // namespace asf

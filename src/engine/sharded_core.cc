@@ -9,8 +9,6 @@
 #endif
 
 #include "engine/config.h"
-#include "engine/query_slot.h"
-#include "engine/spill.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -18,94 +16,37 @@
 namespace asf {
 
 namespace {
-
-// Routed views are rebound against the shard arenas' shared generation
-// counter after every lifecycle event; a transport closure must never
-// touch one that survived a rebind.
-inline void AssertViewFresh(const FilterBank& bank, const FilterArena& arena) {
-  (void)bank;
-  (void)arena;
-  ASF_DCHECK(bank.bound_generation() == arena.generation());
+std::size_t ShardCount(const ShardedSimulationCore::Options& options) {
+  return std::max<std::size_t>(1, options.shards);
 }
 }  // namespace
 
+// Shard worker s writes trace ring s; the host (the coordinator) writes
+// ring S.
 ShardedSimulationCore::ShardedSimulationCore(const Options& options)
-    : options_(options),
-      wall_start_(std::chrono::steady_clock::now()) {
-  const std::size_t num_shards = std::max<std::size_t>(1, options_.shards);
-  const std::size_t n = options_.base.source.NumStreams();
+    : wall_start_(std::chrono::steady_clock::now()), options_(options),
+      host_(options_.base,
+            engine_internal::QueryHost::Binding{
+                values_, coord_now_, net_scheduler_, ShardCount(options_),
+                static_cast<std::uint16_t>(ShardCount(options_)),
+                wall_start_}) {
   ASF_CHECK_MSG(options_.base.source.type != SourceSpec::Type::kCustom,
                 "custom stream sources cannot be sharded");
-  ASF_CHECK(n > 0);
-
   // The coordinator's merged value view starts from the sources' initial
   // values. Per-stream determinism makes one full (unstarted) instance an
   // exact stand-in for all shards' initial state.
-  const std::unique_ptr<StreamSet> initial =
-      MakeStreams(options_.base.source);
-  ASF_CHECK(initial != nullptr);
-  values_ = initial->values();
+  values_ = MakeStreams(options_.base.source)->values();
 
-  if (options_.base.spill.enabled()) {
-    spiller_ = engine_internal::QueryStateSpiller::Create(options_.base.spill,
-                                                          "sharded");
-  }
-
-  const DispatchPolicy dispatch =
-      ResolveDispatchPolicy(options_.base.dispatch);
-  shards_.reserve(num_shards);
+  // Shard s owns streams {s, s + S, s + 2S, ...} and arena s of the
+  // host's lockstep set, which records the cells each mutation touches
+  // for the epoch replay.
+  const std::size_t num_shards = host_.num_arenas();
   for (std::size_t s = 0; s < num_shards; ++s) {
-    const StreamPartition partition{s, num_shards};
-    // Shard s owns streams {s, s + S, s + 2S, ...}: rows = how many ids
-    // below n are congruent to s.
-    const std::size_t rows = n / num_shards + (s < n % num_shards ? 1 : 0);
     shards_.push_back(std::make_unique<Shard>(
-        MakeStreams(options_.base.source, partition), rows));
+        MakeStreams(options_.base.source, StreamPartition{s, num_shards}),
+        host_.arena(s)));
     shards_.back()->arena.EnableCellTracking(true);
-    shards_.back()->arena.SetDispatchPolicy(dispatch);
-    arena_ptrs_.push_back(&shards_.back()->arena);
   }
-  // Compaction relocations retag the moved column's owner once — the
-  // arenas evolve in lockstep, so the hook lives on arena 0 only and the
-  // other arenas' Release returns are merely cross-checked (RetireSlot).
-  arena_ptrs_.front()->set_relocation_callback(
-      [this](std::size_t from, std::size_t to) {
-        const std::size_t owner = column_owner_[from];
-        column_owner_[to] = owner;
-        slots_[owner]->column = to;
-      });
-
-  // The delivery model runs on the coordinator: sends happen during the
-  // serial replay stage, and delayed deliveries queue in net_scheduler_,
-  // drained in merged time order (so they cross epoch barriers exactly
-  // where the serial engine would run them).
-  net_ = MakeNetworkModel(options_.base.net, options_.base.seed);
-  net_delayed_ = options_.base.net.DelaysDelivery();
-  net_->Bind(
-      &net_scheduler_,
-      [this](StreamId id, const NetworkModel::Payload* payloads,
-             std::size_t count, SimTime at) {
-        OnNetUpdate(id, payloads, count, at);
-      },
-      [this](std::size_t slot, StreamId id, const FilterConstraint& constraint,
-             SimTime at) { OnNetDeploy(slot, id, constraint, at); });
-  net_->BindReconcile([this](SimTime at) { OnNetReconcile(at); });
-
-  // Observability attachment (DESIGN.md §14). Rings are partitioned per
-  // writer thread: shard worker s owns ring s, the coordinator (replay,
-  // net, lifecycle, spill) owns ring S = num_shards.
-  obs_coord_ring_ = static_cast<std::uint16_t>(num_shards);
-  const obs::ObsHooks& obs = options_.base.obs;
-  if (obs.tracer != nullptr) obs.tracer->EnsureRings(num_shards + 1);
-  if (obs.tracer != nullptr || obs.metrics != nullptr) {
-    net_->set_obs(obs.metrics != nullptr ? obs.metrics->net_sink() : nullptr,
-                  obs.tracer, obs_coord_ring_);
-  }
-  if (spiller_) {
-    spiller_->set_obs(obs.tracer, obs_coord_ring_, obs.profiler,
-                      &net_scheduler_);
-  }
-  for (const auto& shard : shards_) shard->arena.set_profiler(obs.profiler);
 }
 
 ShardedSimulationCore::~ShardedSimulationCore() {
@@ -119,191 +60,15 @@ ShardedSimulationCore::~ShardedSimulationCore() {
   }
 }
 
-std::size_t ShardedSimulationCore::AddQuery(const QueryDeployment& deployment) {
-  const SimTime start =
-      deployment.start < 0 ? options_.base.query_start : deployment.start;
-  return DeployQuery(deployment, start);
-}
-
-std::size_t ShardedSimulationCore::DeployQuery(
-    const QueryDeployment& deployment, SimTime at) {
-  ASF_CHECK_MSG(!ran_, "DeployQuery after Run()");
-  ASF_CHECK_MSG(at >= 0 && at < options_.base.duration,
-                "deploy time outside [0, duration)");
-  const std::size_t index = slots_.size();
-  // Lightweight record until the deploy barrier wires the runtime
-  // (WireSlot) — same lazy-wiring contract as the serial engine
-  // (DESIGN.md §13).
-  auto slot = std::make_unique<Slot>();
-  slot->deployment = deployment;
-  slot->index = index;
-  slot->deploy_at = at;
-  slot->stats.name = deployment.name;
-  slots_.push_back(std::move(slot));
-  if (deployment.end != kNeverRetire) RetireQuery(index, deployment.end);
-  return index;
-}
-
-void ShardedSimulationCore::WireSlot(std::size_t index) {
-  const std::size_t n = values_.size();
-
-  // The wires between this query's server context and the shard-resident
-  // filters. Values come from the coordinator's merged view (exact at the
-  // current replay position); filter mutations route through the owning
-  // shard's arena, which records the touched cell for the epoch replay.
-  // Probes are blocking zero-time RPCs the network model only observes;
-  // deploys route through it and install at the source on delivery.
-  const auto make_transport = [this, index](FilterBank* bank) {
-    Transport transport;
-    transport.probe = [this, bank](StreamId id) -> std::optional<Value> {
-      AssertViewFresh(*bank, *arena_ptrs_.front());
-      // Same failover as the serial engine: a lost exchange reports no
-      // value and the server context serves its cache.
-      if (!net_->ControlRpc(id, coord_now_)) return std::nullopt;
-      const Value v = values_[id];
-      bank->SyncReference(id, v);  // the probed value is now "reported"
-      return v;
-    };
-    transport.region_probe =
-        [this, bank](StreamId id,
-                     const Interval& region) -> std::optional<Value> {
-      AssertViewFresh(*bank, *arena_ptrs_.front());
-      if (!net_->ControlRpc(id, coord_now_)) return std::nullopt;
-      const Value v = values_[id];
-      if (!region.Contains(v)) return std::nullopt;
-      bank->SyncReference(id, v);
-      return v;
-    };
-    transport.deploy = [this, index](StreamId id,
-                                     const FilterConstraint& constraint) {
-      net_->SendDeploy(index, id, constraint, coord_now_);
-    };
-    return transport;
-  };
-  Slot& slot = *slots_[index];
-  engine_internal::WireQuerySlot(&slot, slot.deployment, slot.deploy_at, n,
-                                 options_.base.seed, index, make_transport);
-  // Lets protocols relax their zero-delay belief assertions while
-  // messages may be in transit (DESIGN.md §9).
-  slot.ctx->set_delayed_delivery(net_delayed_);
-}
-
-void ShardedSimulationCore::RetireQuery(std::size_t slot, SimTime at) {
-  ASF_CHECK_MSG(!ran_, "RetireQuery after Run()");
-  ASF_CHECK(slot < slots_.size());
-  ASF_CHECK_MSG(at > slots_[slot]->deploy_at,
-                "retire time must follow the deploy time");
-  slots_[slot]->retire_at = at;
-}
-
-void ShardedSimulationCore::RunOracle(Slot& slot) {
-  // Same transit attribution as the serial engine (see
-  // SimulationCore::RunOracle).
-  const std::uint64_t before = slot.stats.oracle_violations;
-  engine_internal::JudgeSlot(slot, values_);
-  if (slot.stats.oracle_violations != before &&
-      net_->InFlight(slot.index) > 0) {
-    ++slot.stats.oracle_violations_in_flight;
-  }
-}
-
-void ShardedSimulationCore::OracleTick() {
-  for (auto& slot : slots_) {
-    if (slot->live) RunOracle(*slot);
-  }
-}
-
-void ShardedSimulationCore::RebindLiveViews() {
-  const std::uint64_t generation = arena_ptrs_.front()->generation();
-  for (std::size_t c = 0; c < column_owner_.size(); ++c) {
-    *slots_[column_owner_[c]]->filters =
-        FilterBank(arena_ptrs_, c, values_.size(), generation);
-  }
-}
-
-void ShardedSimulationCore::InstallSlot(std::size_t index, SimTime at) {
-  Slot& slot = *slots_[index];
-  ASF_CHECK(!slot.live);
-  WireSlot(index);
-
-  // Take the same column in every shard arena; the arenas evolve in
-  // lockstep, so the indices (and generations) always agree.
-  const std::size_t column = arena_ptrs_.front()->Acquire();
-  for (std::size_t s = 1; s < arena_ptrs_.size(); ++s) {
-    ASF_CHECK(arena_ptrs_[s]->Acquire() == column);
-  }
-  slot.column = column;
-  column_owner_.push_back(index);
-  ASF_CHECK(column_owner_.size() == arena_ptrs_.front()->live());
-  slot.live = true;
-  RebindLiveViews();
-  peak_live_ = std::max(peak_live_, column_owner_.size());
-
-  slot.answer_sampled_upto = updates_generated_;
-  slot.stats.deployed_at = at;
-  ASF_TRACE_EVENT(options_.base.obs.tracer, obs_coord_ring_,
-                  obs::TraceEventType::kDeploy, at,
-                  static_cast<std::uint32_t>(index), 0, column_owner_.size());
-
-  slot.stats.messages.set_phase(MessagePhase::kInit);
-  slot.protocol->Initialize(at);
-  slot.stats.messages.set_phase(MessagePhase::kMaintenance);
-  const SilentFilterCounts silent = slot.filters->CountSilentFilters();
-  slot.stats.fp_filters_installed = silent.false_positive;
-  slot.stats.fn_filters_installed = silent.false_negative;
-  slot.answer_cur_size = static_cast<double>(slot.protocol->answer().size());
-  if (options_.base.oracle.check_every_update) RunOracle(slot);
-}
-
-void ShardedSimulationCore::RetireSlot(std::size_t index, SimTime at) {
-  Slot& slot = *slots_[index];
-  ASF_CHECK(slot.live);
-
-  // Uninstall this query's filters (termination counterpart of the
-  // initial installation), then close the books inside the live window.
-  slot.ctx->DeployAll(FilterConstraint::NoFilter());
-  FlushAnswerSamples(slot, updates_generated_);
-  slot.stats.retired_at = at;
-  slot.stats.reinits = slot.protocol->reinit_count();
-  slot.live = false;
-
-  // Release the column in every arena; the compaction move is the same
-  // everywhere, so arena 0's relocation callback retags the moved owner
-  // once and the other arenas' returns are only cross-checked.
-  const std::size_t moved = arena_ptrs_.front()->Release(slot.column);
-  for (std::size_t s = 1; s < arena_ptrs_.size(); ++s) {
-    ASF_CHECK(arena_ptrs_[s]->Release(slot.column) == moved);
-  }
-  column_owner_.pop_back();
-  slot.column = FilterArena::kNoColumn;
-  *slot.filters = FilterBank();  // detach: any further access trips checks
-  RebindLiveViews();
-
-  ASF_TRACE_EVENT(options_.base.obs.tracer, obs_coord_ring_,
-                  obs::TraceEventType::kRetire, at,
-                  static_cast<std::uint32_t>(index), 0, column_owner_.size());
-
-  // Retires run at epoch barriers with every shard quiescent, so the
-  // coordinator can park the closed books on pages and free the hot
-  // copies right here (DESIGN.md §13).
-  if (spiller_) engine_internal::SpillRetiredSlot(*spiller_, slot);
-}
-
-void ShardedSimulationCore::FlushAnswerSamples(Slot& slot,
-                                               std::uint64_t upto) {
-  engine_internal::FlushAnswerSamples(slot, upto);
-}
-
 void ShardedSimulationCore::ReplayUpdate(Shard& shard,
                                          const Shard::Update& update) {
   // The merged view advances for every update — exactly the StreamSet
   // state the serial engine's handler observes — even while no query is
   // live (the handler then returns before counting).
   values_[update.id] = update.value;
-  const std::size_t live = column_owner_.size();
-  if (live == 0) return;
+  if (!host_.BeginUpdate()) return;
   coord_now_ = update.time;
-  ++updates_generated_;
+  const std::size_t live = host_.live();
 
   // Merge the update's speculated fired list with the strip's touched
   // columns, ascending. Columns whose cells were touched by a server
@@ -323,7 +88,7 @@ void ShardedSimulationCore::ReplayUpdate(Shard& shard,
   // reaction. touched_fired_ is the ascending fired subset; the merge
   // below only tests membership.
   shard.arena.EvaluateTouched(row, update.value, touched, &touched_fired_);
-  fired_slots_.clear();
+  fired_columns_.clear();
   std::size_t i = 0;
   std::size_t j = 0;
   std::size_t k = 0;
@@ -343,33 +108,12 @@ void ShardedSimulationCore::ReplayUpdate(Shard& shard,
       while (k < touched_fired_.size() && touched_fired_[k] < c) ++k;
       if (k == touched_fired_.size() || touched_fired_[k] != c) continue;
     }
-    fired_slots_.push_back(column_owner_[c]);
+    fired_columns_.push_back(c);
   }
-  // The crossings travel through the network model and come back via
-  // OnNetUpdate — inside this replay step for instant delivery, drained
-  // later in merged time order otherwise (DESIGN.md §9).
-  if (!fired_slots_.empty()) {
-    ASF_TRACE_EVENT(options_.base.obs.tracer, obs_coord_ring_,
-                    obs::TraceEventType::kWireSend, update.time, update.id,
-                    update.value, fired_slots_.size());
-    net_->SendUpdate(update.id, update.value, fired_slots_, update.time);
-  }
-  if (options_.base.oracle.check_every_update) OracleTick();
-}
-
-void ShardedSimulationCore::OnNetUpdate(StreamId id,
-                                        const NetworkModel::Payload* payloads,
-                                        std::size_t count, SimTime at) {
-  obs::ScopedPhase obs_phase(options_.base.obs.profiler,
-                             obs::Phase::kNetFlush);
-  ASF_TRACE_EVENT(options_.base.obs.tracer, obs_coord_ring_,
-                  obs::TraceEventType::kWireDeliver, at, id,
-                  count != 0 ? payloads[count - 1].value : 0, count);
-  if (engine_internal::DeliverWireMessage(
-          slots_, *net_, net_delayed_, options_.base.oracle.check_every_update,
-          updates_generated_, physical_updates_, id, payloads, count, at)) {
-    OracleTick();
-  }
+  // The crossings travel through the network model and come back via the
+  // host's OnNetUpdate — inside this replay step for instant delivery,
+  // drained later in merged time order otherwise (DESIGN.md §9).
+  host_.RouteCrossings(update.id, update.value, update.time, fired_columns_);
 }
 
 bool ShardedSimulationCore::PinThreadToCore(std::size_t core) {
@@ -386,43 +130,6 @@ bool ShardedSimulationCore::PinThreadToCore(std::size_t core) {
 #endif
 }
 
-void ShardedSimulationCore::OnNetDeploy(std::size_t slot_index, StreamId id,
-                                        const FilterConstraint& constraint,
-                                        SimTime at) {
-  Slot& slot = *slots_[slot_index];
-  if (!slot.live) {
-    ++net_->stats().deploy_dropped_retired;
-    ASF_TRACE_EVENT(options_.base.obs.tracer, obs_coord_ring_,
-                    obs::TraceEventType::kWireDrop, at, id, 0, slot_index);
-    return;
-  }
-  (void)at;
-  AssertViewFresh(*slot.filters, *arena_ptrs_.front());
-  // Routed through the bank so the owning shard's arena records the
-  // touched cell for this epoch's self-healing replay (DESIGN.md §8).
-  // Compensation mirrors the serial engine (DESIGN.md §11).
-  slot.filters->Deploy(
-      id, CompensateConstraint(constraint, options_.base.net.comp),
-      values_[id]);
-}
-
-void ShardedSimulationCore::OnNetReconcile(SimTime at) {
-  // Runs inside DrainDeliveries at the up-edge's merged time position, so
-  // values_ is exactly the serial engine's StreamSet state there.
-  engine_internal::ReconcileSlots(slots_, values_, *net_, updates_generated_,
-                                  at);
-  if (options_.base.oracle.check_every_update) OracleTick();
-}
-
-void ShardedSimulationCore::OracleSampleTick() {
-  OracleTick();
-  if (net_scheduler_.now() + options_.base.oracle.sample_interval <=
-      options_.base.duration) {
-    net_scheduler_.ScheduleAfter(options_.base.oracle.sample_interval,
-                                 [this] { OracleSampleTick(); });
-  }
-}
-
 void ShardedSimulationCore::DrainDeliveries(SimTime limit, SimTime to) {
   // Event callbacks (periodic oracle samples, OnNetUpdate / OnNetDeploy /
   // batch flushes) run here, between replayed updates, exactly where the
@@ -437,8 +144,7 @@ void ShardedSimulationCore::DrainDeliveries(SimTime limit, SimTime to) {
   }
 }
 
-void ShardedSimulationCore::ReplayEpoch(SimTime from, SimTime to) {
-  (void)from;
+void ShardedSimulationCore::ReplayEpoch(SimTime to) {
   // S-way merge of the shard logs by (time, stream id). Same-time ties
   // across shards are ordered by stream id — the documented divergence
   // from the serial scheduler's FIFO seniority, unreachable under
@@ -503,11 +209,10 @@ void ShardedSimulationCore::WorkerLoop(std::size_t shard_index) {
   }
 }
 
-void ShardedSimulationCore::SpeculateEpoch(SimTime from, SimTime to) {
-  (void)from;
+void ShardedSimulationCore::SpeculateEpoch(SimTime to) {
   // Fresh epoch: logs restart, speculation state is the canonical state
   // (all barrier mutations applied), touched cells reset.
-  epoch_live_ = arena_ptrs_.front()->live();
+  epoch_live_ = host_.live();
   for (const auto& shard : shards_) {
     shard->log.clear();
     shard->fired.clear();
@@ -529,9 +234,7 @@ void ShardedSimulationCore::SpeculateEpoch(SimTime from, SimTime to) {
 }
 
 void ShardedSimulationCore::Run() {
-  ASF_CHECK_MSG(!ran_, "Run() called twice");
-  ASF_CHECK_MSG(!slots_.empty(), "Run() without any deployed query");
-  ran_ = true;
+  host_.BeginRun();
   const SimTime duration = options_.base.duration;
 
   // Root profiler scope on the coordinator: epoch orchestration and
@@ -539,40 +242,12 @@ void ShardedSimulationCore::Run() {
   // report their speculation wall separately under kSweep).
   obs::ScopedPhase obs_root(options_.base.obs.profiler, obs::Phase::kOther);
 
-  // Gauges sampled at snapshot grid points; the sharded engine drains
-  // due grid points at each epoch barrier (hooks.h), so a sample at T
-  // reflects the merged state of the barrier that covers T.
+  // Gauge snapshots: the sharded engine drains due grid points at each
+  // epoch barrier (hooks.h), so a sample at T reflects the merged state of
+  // the barrier that covers T.
   obs::MetricsRegistry* const obs_reg = options_.base.obs.metrics;
   const SimTime obs_every = options_.base.obs.metrics_every;
   SimTime obs_next_snap = obs_every;
-  if (obs_reg != nullptr) {
-    obs_reg->RegisterGauge("updates_generated", [this] {
-      return static_cast<double>(updates_generated_);
-    });
-    obs_reg->RegisterGauge("live_queries", [this] {
-      return static_cast<double>(column_owner_.size());
-    });
-    obs_reg->RegisterGauge("net_crossings", [this] {
-      return static_cast<double>(net_->stats().crossings);
-    });
-    obs_reg->RegisterGauge("net_wire_updates", [this] {
-      return static_cast<double>(net_->stats().update_messages);
-    });
-    obs_reg->RegisterGauge("net_staleness_mean",
-                           [this] { return net_->stats().delay.mean(); });
-    obs_reg->RegisterGauge("spill_resident_bytes", [this] {
-      return spiller_ ? static_cast<double>(
-                            spiller_->Telemetry().pool_resident_bytes)
-                      : 0.0;
-    });
-    obs_reg->RegisterGauge("replay_fraction", [this] {
-      const double elapsed = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() -
-                                 wall_start_)
-                                 .count();
-      return elapsed > 0 ? replay_seconds_ / elapsed : 0.0;
-    });
-  }
   const auto obs_drain_snapshots = [&](SimTime upto) {
     if (obs_reg == nullptr || obs_every <= 0) return;
     while (obs_next_snap <= upto && obs_next_snap <= duration) {
@@ -621,44 +296,19 @@ void ShardedSimulationCore::Run() {
     shard->streams->Start(&shard->scheduler, duration);
   }
 
-  // Periodic oracle sampling: the same self-rescheduling event the
-  // serial engine schedules, living in the coordinator's queue. Scheduled
-  // before any delivery can be (no send precedes Run), so its FIFO
-  // seniority against flushes and deliveries matches the serial
-  // scheduler's.
-  if (options_.base.oracle.sample_interval > 0) {
-    net_scheduler_.ScheduleAt(
-        std::min(
-            options_.base.query_start + options_.base.oracle.sample_interval,
-            duration),
-        [this] { OracleSampleTick(); });
-  }
-
-  // Model-owned timers (partition reconnect exchanges) are scheduled
-  // after the oracle tick, exactly like the serial engine calls StartRun
-  // after scheduling it, so FIFO seniority at equal timestamps matches.
-  net_->StartRun(duration);
+  // Periodic oracle sampling and model-owned timers (partition reconnect
+  // exchanges) live in the coordinator's queue. Scheduled before any
+  // delivery can be (no send precedes Run), so their FIFO seniority
+  // against flushes and deliveries matches the serial scheduler's.
+  host_.StartTimers();
 
   // Epoch boundaries: a regular speculation grid plus every lifecycle
   // event time (lifecycle executes only at barriers, keeping the column
   // space fixed within an epoch).
   const SimTime epoch_len = duration / kEpochsPerRun;
-  std::vector<std::pair<SimTime, std::size_t>> deploys;   // (time, slot)
-  std::vector<std::pair<SimTime, std::size_t>> retires;   // (time, slot)
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    deploys.emplace_back(slots_[i]->deploy_at, i);
-    // A retirement at or beyond the horizon is the same observable run as
-    // never retiring (see SimulationCore::Run).
-    if (slots_[i]->retire_at < duration) {
-      retires.emplace_back(slots_[i]->retire_at, i);
-    }
-  }
-  std::stable_sort(deploys.begin(), deploys.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::stable_sort(retires.begin(), retires.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::size_t next_deploy = 0;
-  std::size_t next_retire = 0;
+  const std::vector<engine_internal::LifecycleEvent> lifecycle =
+      host_.LifecycleSchedule();
+  std::size_t next_event = 0;
 
   // Spin up the worker pool, pinning first so the workers (which read
   // pinned_ at startup) inherit the decision: coordinator on core 0,
@@ -676,16 +326,17 @@ void ShardedSimulationCore::Run() {
     // deployment first, then every retirement, each in slot order.
     coord_now_ = now;
     obs_drain_snapshots(now);
-    ASF_TRACE_EVENT(options_.base.obs.tracer, obs_coord_ring_,
+    ASF_TRACE_EVENT(options_.base.obs.tracer,
+                    static_cast<std::uint16_t>(shards_.size()),
                     obs::TraceEventType::kEpochBarrier, now, 0, 0, obs_epoch);
     ++obs_epoch;
-    while (next_deploy < deploys.size() && deploys[next_deploy].first == now) {
-      InstallSlot(deploys[next_deploy].second, now);
-      ++next_deploy;
-    }
-    while (next_retire < retires.size() && retires[next_retire].first == now) {
-      RetireSlot(retires[next_retire].second, now);
-      ++next_retire;
+    for (; next_event < lifecycle.size() && lifecycle[next_event].t == now;
+         ++next_event) {
+      if (lifecycle[next_event].deploy) {
+        host_.InstallSlot(lifecycle[next_event].slot);
+      } else {
+        host_.RetireSlot(lifecycle[next_event].slot);
+      }
     }
     // Coordinator events at exactly the barrier time (periodic samples,
     // deliveries) run in the next epoch's replay drain — after lifecycle,
@@ -695,29 +346,26 @@ void ShardedSimulationCore::Run() {
     // Next boundary: the speculation grid or the next lifecycle event,
     // whichever comes first.
     SimTime next = std::min(now + epoch_len, duration);
-    if (next_deploy < deploys.size()) {
-      next = std::min(next, deploys[next_deploy].first);
-    }
-    if (next_retire < retires.size()) {
-      next = std::min(next, retires[next_retire].first);
+    if (next_event < lifecycle.size()) {
+      next = std::min(next, lifecycle[next_event].t);
     }
     ASF_CHECK(next > now);
 
     {
       obs::ScopedPhase obs_phase(options_.base.obs.profiler,
                                  obs::Phase::kSpeculate);
-      SpeculateEpoch(now, next);
+      SpeculateEpoch(next);
     }
     const auto replay_start = std::chrono::steady_clock::now();
     {
       obs::ScopedPhase obs_phase(options_.base.obs.profiler,
                                  obs::Phase::kReplay);
-      ReplayEpoch(now, next);
+      ReplayEpoch(next);
     }
-    replay_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      replay_start)
-            .count();
+    host_.add_replay_seconds(std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() -
+                                 replay_start)
+                                 .count());
     now = next;
   }
   // Horizon: replay events scheduled at exactly t = duration (the final
@@ -732,41 +380,11 @@ void ShardedSimulationCore::Run() {
                                obs::Phase::kReplay);
     DrainDeliveries(duration, kInf);
   }
-  replay_seconds_ +=
+  host_.add_replay_seconds(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     drain_start)
-          .count();
-  net_->Finalize(duration);
-
-  for (auto& slot : slots_) {
-    if (!slot->live) continue;
-    FlushAnswerSamples(*slot, updates_generated_);
-    slot->stats.reinits = slot->protocol->reinit_count();
-    slot->stats.retired_at = duration;
-  }
-  if (obs_reg != nullptr) obs_reg->ClearGauges();
-  wall_seconds_ =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start_)
-          .count();
-}
-
-const QueryRunStats& ShardedSimulationCore::query_stats(std::size_t i) const {
-  ASF_CHECK(i < slots_.size());
-  engine_internal::EnsureStatsResident(spiller_.get(), *slots_[i]);
-  return slots_[i]->stats;
-}
-
-SpillTelemetry ShardedSimulationCore::spill_telemetry() const {
-  return spiller_ ? spiller_->Telemetry() : SpillTelemetry();
-}
-
-DispatchStats ShardedSimulationCore::dispatch_stats() const {
-  DispatchStats stats;
-  for (const FilterArena* arena : arena_ptrs_) {
-    stats += arena->dispatch_stats();
-  }
-  return stats;
+          .count());
+  host_.EndRun();
 }
 
 }  // namespace asf

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/query_host.h"
 #include "engine/sim_core.h"
 #include "filter/filter_arena.h"
 #include "stream/stream_set.h"
@@ -18,7 +19,10 @@
 /// round-robin across S worker shards (stream id lives in shard id % S),
 /// each owning its own Scheduler, stream sources, and FilterArena strips
 /// over its local streams. Queries span shards through per-shard sub-banks
-/// (an arena-routed FilterBank over all S arenas).
+/// (an arena-routed FilterBank over all S arenas). The query side — slots,
+/// lifecycle, delivery sinks, audit, spill — is the same QueryHost the
+/// serial engine runs (engine/query_host.h), bound to S lockstep arenas,
+/// the coordinator's merged value view and its replay clock.
 ///
 /// Execution alternates speculation and replay (DESIGN.md §8):
 ///
@@ -86,47 +90,51 @@ class ShardedSimulationCore {
   ~ShardedSimulationCore();
 
   /// Same contracts as the SimulationCore methods of the same names.
-  std::size_t AddQuery(const QueryDeployment& deployment);
-  std::size_t DeployQuery(const QueryDeployment& deployment, SimTime at);
-  void RetireQuery(std::size_t slot, SimTime at);
+  std::size_t AddQuery(const QueryDeployment& deployment) {
+    return host_.AddQuery(deployment);
+  }
+  std::size_t DeployQuery(const QueryDeployment& deployment, SimTime at) {
+    return host_.DeployQuery(deployment, at);
+  }
+  void RetireQuery(std::size_t slot, SimTime at) {
+    host_.RetireQuery(slot, at);
+  }
   void Run();
 
-  std::size_t num_queries() const { return slots_.size(); }
-  const QueryRunStats& query_stats(std::size_t i) const;
+  std::size_t num_queries() const { return host_.num_queries(); }
+  const QueryRunStats& query_stats(std::size_t i) const {
+    return host_.query_stats(i);
+  }
   /// Out-of-core spill accounting; all zero when base.spill is off.
-  SpillTelemetry spill_telemetry() const;
-  std::uint64_t updates_generated() const { return updates_generated_; }
-  std::uint64_t physical_updates() const { return physical_updates_; }
-  std::size_t peak_live_queries() const { return peak_live_; }
-  const NetStats& net_stats() const { return net_->stats(); }
-  double wall_seconds() const { return wall_seconds_; }
+  SpillTelemetry spill_telemetry() const { return host_.spill_telemetry(); }
+  std::uint64_t updates_generated() const {
+    return host_.updates_generated();
+  }
+  std::uint64_t physical_updates() const { return host_.physical_updates(); }
+  std::size_t peak_live_queries() const { return host_.peak_live_queries(); }
+  const NetStats& net_stats() const { return host_.net_stats(); }
+  double wall_seconds() const { return host_.wall_seconds(); }
   std::size_t shards() const { return shards_.size(); }
 
   /// Wall-clock seconds spent in the replay stage (merge, reactions,
   /// delivery drains) — the serial fraction the Amdahl curve is gated by.
-  double replay_seconds() const { return replay_seconds_; }
+  double replay_seconds() const { return host_.replay_seconds(); }
   /// Whether the coordinator was successfully pinned to a core.
   bool pinned() const { return pinned_; }
 
   /// The dispatch policy the run actually executed (after the
   /// ASF_DISPATCH resolution) and its accounting summed over all shard
   /// arenas.
-  DispatchPolicy dispatch_policy() const {
-    return arena_ptrs_.front()->dispatch_policy();
-  }
-  DispatchStats dispatch_stats() const;
+  DispatchPolicy dispatch_policy() const { return host_.dispatch_policy(); }
+  DispatchStats dispatch_stats() const { return host_.dispatch_stats(); }
 
  private:
-  /// The shared per-query runtime (engine/query_slot.h), so wiring and
-  /// accounting cannot drift between the two engines.
-  using Slot = engine_internal::QuerySlot;
-
   /// One stream shard: its slice of the sources, its own event loop, and
   /// the SoA filter strips of its local streams (row = stream id / S).
   struct Shard {
     std::unique_ptr<StreamSet> streams;
     Scheduler scheduler;
-    FilterArena arena;
+    FilterArena& arena;  ///< the host's arena s
     /// Epoch log: this shard's updates, in shard-local dispatch order
     /// (time-sorted; same-stream updates keep their order).
     struct Update {
@@ -149,45 +157,16 @@ class ShardedSimulationCore {
     std::vector<std::uint32_t> fired_scratch;  ///< per-dispatch reuse
     std::size_t cursor = 0;  ///< replay position in log
 
-    Shard(std::unique_ptr<StreamSet> s, std::size_t rows)
-        : streams(std::move(s)), arena(rows) {}
+    Shard(std::unique_ptr<StreamSet> s, FilterArena& a)
+        : streams(std::move(s)), arena(a) {}
   };
-
-  void RunOracle(Slot& slot);
-  void OracleTick();
-  /// Builds the slot's runtime at its deploy barrier (lazy wiring — same
-  /// contract as SimulationCore::WireSlot, DESIGN.md §13).
-  void WireSlot(std::size_t index);
-  void InstallSlot(std::size_t index, SimTime at);
-  void RetireSlot(std::size_t index, SimTime at);
-  void RebindLiveViews();
-  void FlushAnswerSamples(Slot& slot, std::uint64_t upto);
 
   /// Replays one logged update through filters and protocols, exactly the
   /// serial engine's update handler under the merge ordering.
   void ReplayUpdate(Shard& shard, const Shard::Update& update);
 
-  /// Network arrival sinks — the coordinator-side counterparts of
-  /// SimulationCore::OnNetUpdate/OnNetDeploy. Deliveries queue in
-  /// net_scheduler_ and drain during replay, so in-flight messages cross
-  /// epoch barriers deterministically (DESIGN.md §9).
-  void OnNetUpdate(StreamId id, const NetworkModel::Payload* payloads,
-                   std::size_t count, SimTime at);
-  void OnNetDeploy(std::size_t slot, StreamId id,
-                   const FilterConstraint& constraint, SimTime at);
-
   /// Best-effort affinity pin of the calling thread (Linux only).
   static bool PinThreadToCore(std::size_t core);
-
-  /// Partition-reconnect summary-vector exchange, the coordinator-side
-  /// counterpart of SimulationCore::OnNetReconcile (DESIGN.md §11).
-  void OnNetReconcile(SimTime at);
-
-  /// The periodic oracle sample, a self-rescheduling net_scheduler_
-  /// event exactly like the serial engine's — FIFO seniority then breaks
-  /// sample-vs-delivery ties (a batch flush landing on a sample's grid
-  /// point) identically to the serial scheduler.
-  void OracleSampleTick();
 
   /// Runs pending coordinator events (periodic oracle samples, network
   /// deliveries) in time order — FIFO at exact ties — up to and
@@ -195,54 +174,36 @@ class ShardedSimulationCore {
   void DrainDeliveries(SimTime limit, SimTime to);
 
   /// Merges and replays every update of the epoch that just speculated,
-  /// interleaving periodic oracle samples in (from, to).
-  void ReplayEpoch(SimTime from, SimTime to);
+  /// interleaving coordinator events before `to`.
+  void ReplayEpoch(SimTime to);
 
-  /// Runs shard generation for [from, to) on the worker pool (to ==
-  /// horizon runs events at the horizon itself, the final flush).
-  void SpeculateEpoch(SimTime from, SimTime to);
+  /// Runs shard generation from the epoch start to `to` on the worker
+  /// pool (to == horizon runs events at the horizon itself, the final
+  /// flush).
+  void SpeculateEpoch(SimTime to);
 
   void WorkerLoop(std::size_t shard_index);
 
+  const std::chrono::steady_clock::time_point wall_start_;
   Options options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<FilterArena*> arena_ptrs_;  ///< for routed FilterBank views
   /// The coordinator's authoritative view of every stream's current value,
   /// advanced in merge order during replay — exactly the serial engine's
   /// StreamSet values. Probes and the oracle read this.
   std::vector<Value> values_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  /// Out-of-core endpoint for retired-query state; null when disabled.
-  /// Driven by the coordinator only (retires run at barriers, faults at
-  /// result assembly), matching the SpillLog's single-thread contract.
-  std::unique_ptr<engine_internal::QueryStateSpiller> spiller_;
-  std::vector<std::size_t> column_owner_;
-  std::size_t epoch_live_ = 0;  ///< live columns during this epoch
-
-  /// The delivery model (DESIGN.md §9). Delayed deliveries and the
-  /// periodic oracle sample live in the coordinator's dedicated event
-  /// queue (`net_scheduler_`), which survives epoch barriers — the
-  /// replay loop drains it in merged time order, FIFO at exact ties.
-  std::unique_ptr<NetworkModel> net_;
-  bool net_delayed_ = false;
+  /// The coordinator's event queue: delayed deliveries and the periodic
+  /// oracle sample. It survives epoch barriers — the replay loop drains it
+  /// in merged time order, FIFO at exact ties (DESIGN.md §9).
   Scheduler net_scheduler_;
   /// Coordinator's current replay time: what server→source sends are
   /// stamped with (barrier, replayed update, or delivery instant).
   SimTime coord_now_ = 0;
-  /// Scratch: slot indices fired by the update being replayed.
-  std::vector<std::size_t> fired_slots_;
-
-  /// Trace ring owned by the coordinator thread (= shard count; shard
+  /// The query side, on S lockstep arenas; writes trace ring S (shard
   /// worker s writes ring s).
-  std::uint16_t obs_coord_ring_ = 0;
-
-  bool ran_ = false;
-  std::size_t peak_live_ = 0;
-  std::uint64_t updates_generated_ = 0;
-  std::uint64_t physical_updates_ = 0;
-  double wall_seconds_ = 0.0;
-  double replay_seconds_ = 0.0;
-  std::chrono::steady_clock::time_point wall_start_;
+  engine_internal::QueryHost host_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::size_t epoch_live_ = 0;  ///< live columns during this epoch
+  /// Scratch: arena columns fired by the update being replayed.
+  std::vector<std::uint32_t> fired_columns_;
 
   // Worker pool: one persistent thread per shard, released epoch by epoch.
   std::vector<std::thread> workers_;
@@ -260,6 +221,30 @@ class ShardedSimulationCore {
   /// replayed (ascending; see FilterArena::EvaluateTouched).
   std::vector<std::uint32_t> touched_fired_;
 };
+
+/// Runs `run(core)` on the engine a run config (SystemConfig or
+/// MultiQueryConfig) asks for — the sharded engine when config.shards > 1,
+/// the serial one otherwise — and returns what `run` returns. The one
+/// place a run config becomes engine options.
+template <typename Config, typename Run>
+auto RunOnEngine(const Config& config, Run&& run) {
+  SimulationCore::Options options;
+  options.source = config.source;
+  options.duration = config.duration;
+  options.query_start = config.query_start;
+  options.seed = config.seed;
+  options.oracle = config.oracle;
+  options.net = config.net;
+  options.dispatch = config.dispatch;
+  options.spill = config.spill;
+  options.obs = config.obs;
+  if (config.shards > 1) {
+    ShardedSimulationCore core({options, config.shards, config.pin_threads});
+    return run(core);
+  }
+  SimulationCore core(options);
+  return run(core);
+}
 
 }  // namespace asf
 

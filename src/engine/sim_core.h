@@ -25,13 +25,15 @@
 /// The shared simulation engine behind RunSystem and RunMultiQuerySystem.
 ///
 /// SimulationCore owns everything a run needs regardless of how many
-/// queries are deployed: stream construction (walk / trace / custom), one
+/// queries are deployed: stream construction (walk / trace / custom), the
+/// scheduler drive loop and the per-update dispatch. The query side — one
 /// filter bank + server context + protocol instance per query, the
-/// Transport closures that connect server to sources, the correctness
-/// oracle hooks, and the scheduler drive loop. The two public entry points
-/// are thin adapters over it: RunSystem deploys exactly one query and
-/// flattens the stats into a RunResult; RunMultiQuerySystem deploys many
-/// and adds the shared-update (physical vs logical) accounting.
+/// transport closures, the lifecycle, delivery and correctness-oracle
+/// hooks — is the query host (engine/query_host.h), which the sharded
+/// engine runs too. The two public entry points are thin adapters over
+/// it: RunSystem deploys exactly one query and flattens the stats into a
+/// RunResult; RunMultiQuerySystem deploys many and adds the shared-update
+/// (physical vs logical) accounting.
 ///
 /// Queries are a *dynamic population*: each one is deployed at a scheduled
 /// simulation time, runs under its tolerance protocol, and may retire
@@ -48,8 +50,8 @@
 namespace asf {
 
 namespace engine_internal {
-class QueryStateSpiller;  // engine/spill.h
-struct QuerySlot;         // engine/query_slot.h
+class QueryHost;        // engine/query_host.h
+struct LifecycleEvent;  // engine/query_host.h
 }  // namespace engine_internal
 
 /// Retire time of a query that lives to the end of the run.
@@ -190,37 +192,37 @@ class SimulationCore {
   /// every AddQuery/DeployQuery/RetireQuery.
   void Run();
 
-  std::size_t num_queries() const { return slots_.size(); }
+  std::size_t num_queries() const;
 
   /// Outcome of query slot `i`; valid after Run(). With spilling enabled
-  /// a retired slot's record is faulted back through the buffer pool on
-  /// first access (and stays resident afterwards).
+  /// a retired slot's record is read back from the spill log on first
+  /// access (and stays resident afterwards).
   const QueryRunStats& query_stats(std::size_t i) const;
 
   /// Out-of-core spill accounting; all zero when options.spill is off.
   SpillTelemetry spill_telemetry() const;
 
   /// Value changes generated while at least one query was live.
-  std::uint64_t updates_generated() const { return updates_generated_; }
+  std::uint64_t updates_generated() const;
 
   /// Update messages actually transmitted: a value change that crossed
   /// the filters of several queries at once costs one physical message
   /// (each affected query still accounts a logical update).
-  std::uint64_t physical_updates() const { return physical_updates_; }
+  std::uint64_t physical_updates() const;
 
   /// Highest number of simultaneously live queries observed.
-  std::size_t peak_live_queries() const { return peak_live_; }
+  std::size_t peak_live_queries() const;
 
   /// Delivery accounting of the run's network model; valid after Run().
-  const NetStats& net_stats() const { return net_->stats(); }
+  const NetStats& net_stats() const;
 
   /// The dispatch policy the run actually executed (after the
   /// ASF_DISPATCH resolution) and its path accounting.
-  DispatchPolicy dispatch_policy() const { return arena_.dispatch_policy(); }
-  DispatchStats dispatch_stats() const { return arena_.dispatch_stats(); }
+  DispatchPolicy dispatch_policy() const;
+  DispatchStats dispatch_stats() const;
 
   /// Host wall-clock seconds from construction to the end of Run().
-  double wall_seconds() const { return wall_seconds_; }
+  double wall_seconds() const;
 
   /// Serial engine: every reaction runs inline in the one event loop, so
   /// there is no replay stage to time and no pinning. Mirrors
@@ -230,111 +232,32 @@ class SimulationCore {
   bool pinned() const { return false; }
 
  private:
-  /// Server-side runtime of one deployed query — the shared per-query
-  /// runtime (engine/query_slot.h), which the sharded engine uses too so
-  /// the two cannot drift apart in wiring or accounting.
-  using Slot = engine_internal::QuerySlot;
-
-  /// Judges slot `i`'s current answer against the true stream values.
-  void RunOracle(Slot& slot);
-
-  /// Builds the slot's runtime — detached filter bank, server context
-  /// over fresh transport wires, protocol RNG, protocol instance. Run by
-  /// the deploy event (not DeployQuery) so pre-deployment slots stay
-  /// lightweight records and resident runtime state tracks the live
-  /// population (DESIGN.md §13).
-  void WireSlot(std::size_t index);
-
-  /// The deploy event: wires the slot's runtime, binds its filters into
-  /// the arena (growing it if needed), runs the protocol's
-  /// Initialization phase, and opens the live window.
-  void InstallSlot(std::size_t index);
-
-  /// The retire event: uninstalls the slot's filters (pass-through
-  /// deploy), closes its accounting, and releases its arena column with
-  /// live-prefix compaction.
-  void RetireSlot(std::size_t index);
-
-  /// Rebinds the strided FilterBank views of every live slot after an
-  /// arena layout change (growth or compaction), tagging them with the
-  /// new generation.
-  void RebindLiveViews();
-
-  /// Periodic correctness sampling; reschedules itself every
-  /// options_.oracle.sample_interval until the horizon.
-  void OracleSampleTick();
-
-  /// Network arrival sinks (NetworkModel::Bind): a wire message of update
-  /// payloads reaching the server / a constraint install reaching its
-  /// source. Run inline for instant models, as scheduler events otherwise.
-  void OnNetUpdate(StreamId id, const NetworkModel::Payload* payloads,
-                   std::size_t count, SimTime at);
-  void OnNetDeploy(std::size_t slot, StreamId id,
-                   const FilterConstraint& constraint, SimTime at);
-
-  /// Partition-reconnect summary-vector exchange (NetworkModel::
-  /// BindReconcile): every source reports its current value and the
-  /// server repairs each live query's stale view (DESIGN.md §11).
-  void OnNetReconcile(SimTime at);
-
-  /// Appends the pending run of unchanged answer-size samples (one per
-  /// generated update, up to update number `upto`) in O(1).
-  void FlushAnswerSamples(Slot& slot, std::uint64_t upto);
-
-  /// One entry of the batched lifecycle feed (see Run): a deploy or
-  /// retire with its pre-reserved FIFO sequence number.
-  struct LifecycleEvent {
-    SimTime t = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    bool deploy = false;
-  };
+  /// Materializes the next batch of lifecycle events; the batch's last
+  /// event re-invokes the feeder. Byte-identical to scheduling everything
+  /// upfront because the seqs were reserved upfront.
+  void ScheduleLifecycleBatch();
 
   /// Scheduler entries the feeder keeps in flight at once. Small enough
   /// that pending lifecycle events never dominate memory under long
   /// churn schedules, large enough that refills are rare.
   static constexpr std::size_t kLifecycleBatch = 1024;
 
-  /// Materializes the next batch of lifecycle events; the batch's last
-  /// event re-invokes the feeder. Byte-identical to scheduling everything
-  /// upfront because the seqs were reserved upfront.
-  void ScheduleLifecycleBatch();
-
+  const std::chrono::steady_clock::time_point wall_start_;
   Options options_;
-  /// Out-of-core endpoint for retired-query state; null when disabled.
-  std::unique_ptr<engine_internal::QueryStateSpiller> spiller_;
   std::unique_ptr<StreamSet> owned_streams_;
   StreamSet* streams_ = nullptr;  // owned_streams_.get() or borrowed custom
-  std::vector<std::unique_ptr<Slot>> slots_;
-  /// Stream-major shared filter storage for the live queries; grows and
-  /// compacts as queries come and go.
-  FilterArena arena_;
-  /// Slot index of each live arena column (parallel to the arena's dense
-  /// live prefix); the dispatch loop maps fired columns to their queries
-  /// through it.
-  std::vector<std::size_t> column_owner_;
   Scheduler scheduler_;
-  /// The delivery model every source→server update and server→source
-  /// deploy routes through (DESIGN.md §9).
-  std::unique_ptr<NetworkModel> net_;
-  /// False for instant-equivalent configs: delivery runs inside the
-  /// producing event and staleness accounting is skipped (it is
-  /// identically zero).
-  bool net_delayed_ = false;
-  /// Scratch: fired columns of the current dispatch, and the slot indices
-  /// they map to.
+  /// The query slots, their arena and delivery model, read against the
+  /// streams' values at the scheduler's clock.
+  std::unique_ptr<engine_internal::QueryHost> host_;
+  /// The host's one arena, which the update handler dispatches on.
+  FilterArena* arena_ = nullptr;
+  /// Scratch: fired columns of the current dispatch.
   std::vector<std::uint32_t> fired_columns_;
-  std::vector<std::size_t> fired_slots_;
-  bool ran_ = false;
   /// The sorted lifecycle feed and its next-unscheduled cursor; drained
   /// (and freed) as batches materialize.
-  std::vector<LifecycleEvent> lifecycle_;
+  std::vector<engine_internal::LifecycleEvent> lifecycle_;
   std::size_t lifecycle_cursor_ = 0;
-  std::size_t peak_live_ = 0;
-  std::uint64_t updates_generated_ = 0;
-  std::uint64_t physical_updates_ = 0;
-  double wall_seconds_ = 0.0;
-  std::chrono::steady_clock::time_point wall_start_;
 };
 
 }  // namespace asf

@@ -102,10 +102,9 @@ QueryRunStats DecodeQueryRecord(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::unique_ptr<QueryStateSpiller> QueryStateSpiller::Create(
-    const SpillConfig& config, const std::string& tag) {
+    const SpillConfig& config) {
   ASF_CHECK_MSG(config.enabled(), "spiller created with spilling disabled");
-  return std::unique_ptr<QueryStateSpiller>(
-      new QueryStateSpiller(config, tag));
+  return std::unique_ptr<QueryStateSpiller>(new QueryStateSpiller(config));
 }
 
 storage::RecordRef QueryStateSpiller::Spill(const QueryRunStats& stats) {
@@ -115,7 +114,7 @@ storage::RecordRef QueryStateSpiller::Spill(const QueryRunStats& stats) {
   ++records_spilled_;
   spilled_bytes_ += bytes.size();
   ASF_TRACE_EVENT(obs_tracer_, obs_ring_, obs::TraceEventType::kSpillEvict,
-                  obs_clock_ != nullptr ? obs_clock_->now() : 0.0,
+                  obs_clock_ != nullptr ? *obs_clock_ : 0.0,
                   static_cast<std::uint32_t>(records_spilled_), 0,
                   bytes.size());
   return ref;
@@ -127,7 +126,7 @@ QueryRunStats QueryStateSpiller::Fault(const storage::RecordRef& ref) {
   ++records_faulted_;
   faulted_bytes_ += bytes.size();
   ASF_TRACE_EVENT(obs_tracer_, obs_ring_, obs::TraceEventType::kSpillFault,
-                  obs_clock_ != nullptr ? obs_clock_->now() : 0.0,
+                  obs_clock_ != nullptr ? *obs_clock_ : 0.0,
                   static_cast<std::uint32_t>(records_faulted_), 0,
                   bytes.size());
   return DecodeQueryRecord(bytes);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "engine/query_slot.h"
@@ -40,9 +39,7 @@ QueryRunStats DecodeQueryRecord(const std::vector<std::uint8_t>& bytes);
 /// construction CHECKs.
 class QueryStateSpiller {
  public:
-  /// `tag` ("serial"/"sharded") names the log's short-lived scratch file.
-  static std::unique_ptr<QueryStateSpiller> Create(const SpillConfig& config,
-                                                   const std::string& tag);
+  static std::unique_ptr<QueryStateSpiller> Create(const SpillConfig& config);
 
   QueryStateSpiller(const QueryStateSpiller&) = delete;
   QueryStateSpiller& operator=(const QueryStateSpiller&) = delete;
@@ -58,11 +55,11 @@ class QueryStateSpiller {
   SpillTelemetry Telemetry() const;
 
   /// Observability attachment (DESIGN.md §14): spill/fault trace events
-  /// on ring `ring` stamped with `clock->now()`, and kSpillIo profiler
-  /// scopes around the log I/O. All-null (the default) = off. The clock
-  /// is read-only — tracing never schedules anything.
+  /// on ring `ring` stamped with `*clock`, and kSpillIo profiler scopes
+  /// around the log I/O. All-null (the default) = off. The clock is
+  /// read-only — tracing never schedules anything.
   void set_obs(obs::Tracer* tracer, std::uint16_t ring,
-               obs::Profiler* profiler, const Scheduler* clock) {
+               obs::Profiler* profiler, const SimTime* clock) {
     obs_tracer_ = tracer;
     obs_ring_ = ring;
     obs_profiler_ = profiler;
@@ -70,8 +67,7 @@ class QueryStateSpiller {
   }
 
  private:
-  QueryStateSpiller(const SpillConfig& config, const std::string& tag)
-      : log_(config.dir, tag) {}
+  explicit QueryStateSpiller(const SpillConfig& config) : log_(config.dir) {}
 
   storage::SpillLog log_;
   std::uint64_t records_spilled_ = 0;
@@ -82,7 +78,7 @@ class QueryStateSpiller {
   obs::Tracer* obs_tracer_ = nullptr;
   std::uint16_t obs_ring_ = 0;
   obs::Profiler* obs_profiler_ = nullptr;
-  const Scheduler* obs_clock_ = nullptr;
+  const SimTime* obs_clock_ = nullptr;
 };
 
 /// Spills a retired slot's closed books and drops every in-memory copy:

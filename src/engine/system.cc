@@ -1,7 +1,6 @@
 #include "engine/system.h"
 
 #include "engine/sharded_core.h"
-#include "engine/sim_core.h"
 
 namespace asf {
 
@@ -45,17 +44,6 @@ RunResult RunAndFlatten(Core& core, const QueryDeployment& deployment) {
 Result<RunResult> RunSystem(const SystemConfig& config) {
   ASF_RETURN_IF_ERROR(config.Validate());
 
-  SimulationCore::Options options;
-  options.source = config.source;
-  options.duration = config.duration;
-  options.query_start = config.query_start;
-  options.seed = config.seed;
-  options.oracle = config.oracle;
-  options.net = config.net;
-  options.dispatch = config.dispatch;
-  options.spill = config.spill;
-  options.obs = config.obs;
-
   QueryDeployment deployment;
   deployment.query = config.query;
   deployment.protocol = config.protocol;
@@ -65,16 +53,9 @@ Result<RunResult> RunSystem(const SystemConfig& config) {
   deployment.broadcast = config.broadcast_counts_as_one
                              ? BroadcastCostModel::kSingleMessage
                              : BroadcastCostModel::kPerRecipient;
-  if (config.shards > 1) {
-    ShardedSimulationCore::Options sharded;
-    sharded.base = options;
-    sharded.shards = config.shards;
-    sharded.pin_threads = config.pin_threads;
-    ShardedSimulationCore core(sharded);
+  return RunOnEngine(config, [&deployment](auto& core) {
     return RunAndFlatten(core, deployment);
-  }
-  SimulationCore core(options);
-  return RunAndFlatten(core, deployment);
+  });
 }
 
 }  // namespace asf

@@ -203,7 +203,7 @@ class FilterArena {
   /// with the current generation.
   FilterBank View(std::size_t column) {
     ASF_CHECK(column < live_);
-    return FilterBank({this}, column, num_streams_, generation_);
+    return FilterBank(&self_, 1, column, num_streams_, generation_);
   }
 
   // --- Cell mutation tracking (sharded speculative epochs) ---
@@ -274,6 +274,9 @@ class FilterArena {
   std::size_t capacity_ = 0;
   std::size_t live_ = 0;
   std::uint64_t generation_ = 0;
+  /// The one-arena set View() routes through (the arena is not movable,
+  /// so the address stays valid).
+  FilterArena* const self_ = this;
 
   /// The cells, stride_ = PaddedStride(capacity_) lanes per stream,
   /// words_ = stride_ / 64 mask words per stream.

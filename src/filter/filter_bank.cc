@@ -6,26 +6,26 @@ namespace asf {
 
 const Filter FilterBank::at(StreamId id) const {
   ASF_DCHECK(id < size_);
-  if (!arenas_.empty()) {
-    return arenas_[id % arenas_.size()]->cell(id / arenas_.size(), column_);
+  if (num_arenas_ != 0) {
+    return arenas_[id % num_arenas_]->cell(id / num_arenas_, column_);
   }
   return owned_[id];
 }
 
 void FilterBank::Deploy(StreamId id, const FilterConstraint& constraint,
                         Value current_value) {
-  if (!arenas_.empty()) {
-    arenas_[id % arenas_.size()]->Deploy(id / arenas_.size(), column_,
-                                         constraint, current_value);
+  if (num_arenas_ != 0) {
+    arenas_[id % num_arenas_]->Deploy(id / num_arenas_, column_, constraint,
+                                      current_value);
     return;
   }
   mutable_at(id).Deploy(constraint, current_value);
 }
 
 void FilterBank::SyncReference(StreamId id, Value current_value) {
-  if (!arenas_.empty()) {
-    arenas_[id % arenas_.size()]->SyncReference(id / arenas_.size(), column_,
-                                                current_value);
+  if (num_arenas_ != 0) {
+    arenas_[id % num_arenas_]->SyncReference(id / num_arenas_, column_,
+                                             current_value);
     return;
   }
   mutable_at(id).SyncReference(current_value);
@@ -33,9 +33,9 @@ void FilterBank::SyncReference(StreamId id, Value current_value) {
 
 SilentFilterCounts FilterBank::CountSilentFilters() const {
   SilentFilterCounts counts;
-  if (!arenas_.empty()) {
-    for (const FilterArena* arena : arenas_) {
-      const SilentFilterCounts part = arena->CountSilent(column_);
+  if (num_arenas_ != 0) {
+    for (std::size_t s = 0; s < num_arenas_; ++s) {
+      const SilentFilterCounts part = arenas_[s]->CountSilent(column_);
       counts.false_positive += part.false_positive;
       counts.false_negative += part.false_negative;
     }

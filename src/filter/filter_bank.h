@@ -28,7 +28,7 @@
 ///    `Filter` from them by value.
 ///
 /// Views are rebound as queries come and go (see filter/filter_arena.h
-/// and SimulationCore::InstallSlot / RebindLiveViews).
+/// and engine_internal::QueryHost::InstallSlot / RebindLiveViews).
 
 namespace asf {
 
@@ -52,16 +52,21 @@ class FilterBank {
   explicit FilterBank(std::size_t num_streams)
       : owned_(num_streams), size_(num_streams) {}
 
-  /// Arena-routed view of one query's `column` across `arenas` (stream id
-  /// -> arena id % S, row id / S). The arenas outlive the view; the
-  /// caller may tag the view with the storage generation it was bound at
-  /// (see FilterArena) so stale views are detectable after a rebind.
-  FilterBank(std::vector<FilterArena*> arenas, std::size_t column,
-             std::size_t num_streams, std::uint64_t generation = 0)
-      : size_(num_streams), generation_(generation),
-        arenas_(std::move(arenas)), column_(column) {
-    ASF_CHECK(!arenas_.empty());
-    for (const FilterArena* arena : arenas_) ASF_CHECK(arena != nullptr);
+  /// Arena-routed view of one query's `column` across the `num_arenas`
+  /// arenas at `arenas` (stream id -> arena id % S, row id / S). The
+  /// pointer array and the arenas outlive the view — the view points at
+  /// the owner's arena set rather than copying it; the caller may tag the
+  /// view with the storage generation it was bound at (see FilterArena) so
+  /// stale views are detectable after a rebind.
+  FilterBank(FilterArena* const* arenas, std::size_t num_arenas,
+             std::size_t column, std::size_t num_streams,
+             std::uint64_t generation = 0)
+      : size_(num_streams), generation_(generation), arenas_(arenas),
+        num_arenas_(num_arenas), column_(column) {
+    ASF_CHECK(arenas_ != nullptr && num_arenas_ > 0);
+    for (std::size_t s = 0; s < num_arenas_; ++s) {
+      ASF_CHECK(arenas_[s] != nullptr);
+    }
   }
 
   FilterBank(FilterBank&&) = default;
@@ -83,7 +88,7 @@ class FilterBank {
 
   /// Mutable access to stream `id`'s filter; owning banks only.
   Filter& mutable_at(StreamId id) {
-    ASF_CHECK(arenas_.empty());
+    ASF_CHECK(num_arenas_ == 0);
     ASF_DCHECK(id < size_);
     return owned_[id];
   }
@@ -107,7 +112,9 @@ class FilterBank {
   std::vector<Filter> owned_;  ///< empty for views
   std::size_t size_ = 0;
   std::uint64_t generation_ = 0;
-  std::vector<FilterArena*> arenas_;  ///< non-empty for arena-routed views
+  /// The arena set of an arena-routed view (num_arenas_ > 0); not owned.
+  FilterArena* const* arenas_ = nullptr;
+  std::size_t num_arenas_ = 0;
   std::size_t column_ = 0;
 };
 

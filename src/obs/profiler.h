@@ -37,7 +37,7 @@ enum class Phase : std::uint8_t {
   kSpeculate,     ///< coordinator: waiting on the speculation barrier
   kReplay,        ///< sharded merge/replay stage
   kNetFlush,      ///< network delivery callbacks draining into the engine
-  kSpillIo,       ///< spill write-out / fault-back page I/O
+  kSpillIo,       ///< spill-log append / read-back I/O
   kNumPhases,
 };
 

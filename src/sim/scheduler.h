@@ -164,6 +164,9 @@ class Scheduler {
 
   /// Current simulated time. Starts at 0.
   SimTime now() const { return now_; }
+  /// The same clock as a stable reference, for readers that hold the
+  /// time without holding the scheduler.
+  const SimTime& clock() const { return now_; }
 
   /// Schedules `fn` at absolute time `t` (must be >= now()). Returns a
   /// handle that can be cancelled.

@@ -10,9 +10,9 @@
 namespace asf {
 namespace storage {
 
-SpillLog::SpillLog(const std::string& dir, const std::string& tag)
+SpillLog::SpillLog(const std::string& dir)
     : buffer_(new std::uint8_t[kBufferBytes]) {
-  std::string path = dir + "/asf-spill-" + tag + "-XXXXXX";
+  std::string path = dir + "/asf-spill-XXXXXX";
   fd_ = mkstemp(path.data());
   ASF_CHECK_MSG(fd_ >= 0, ("cannot create spill log in " + dir).c_str());
   ASF_CHECK_MSG(unlink(path.c_str()) == 0, "cannot unlink the spill log");

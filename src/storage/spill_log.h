@@ -43,9 +43,9 @@ class SpillLog {
   /// Write-buffer capacity: the RAM the log holds, whatever it stores.
   static constexpr std::size_t kBufferBytes = 64 * 1024;
 
-  /// Opens (and immediately unlinks) a fresh scratch file in `dir`; `tag`
-  /// prefixes its short-lived name. CHECKs if the file cannot be created.
-  SpillLog(const std::string& dir, const std::string& tag);
+  /// Opens (and immediately unlinks) a fresh scratch file in `dir`.
+  /// CHECKs if the file cannot be created.
+  explicit SpillLog(const std::string& dir);
   ~SpillLog();
 
   SpillLog(const SpillLog&) = delete;

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "engine/multi_system.h"
+#include "net/message.h"
+#include "net_counters.h"
 
 namespace asf {
 namespace {
@@ -223,6 +226,78 @@ TEST(ChurnExpansionTest, ExpandedScheduleValidatesAndRuns) {
       EXPECT_EQ(q.retired_at, config.duration);
     }
   }
+}
+
+// Two runs of one churn configuration must agree on every per-query
+// figure and every delivery counter: the schedule, the stream randomness
+// and the lifecycle order are all fixed by the seeds. The configuration is
+// `asf_run --churn --churn-rate=0.2 --churn-lifetime=150 --streams=400
+// --duration=800 --seed=5` (ZT-NRP ranges drawn over the value space).
+TEST(ChurnDeterminismTest, RepeatedRunsAgreeOnEveryFigure) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 400;
+  walk.seed = 5;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 800;
+  config.seed = 5;
+  ChurnSpec spec;
+  spec.arrival_rate = 0.2;
+  spec.mean_lifetime = 150;
+  spec.seed = 5;
+  ChurnMixEntry entry;
+  entry.protocol = ProtocolKind::kZtNrp;
+  entry.eps_plus = 0;
+  entry.eps_minus = 0;
+  entry.rank_r = 0;
+  spec.mix = {entry};
+  auto deployments = ExpandChurn(spec, config.duration);
+  ASSERT_TRUE(deployments.ok());
+  config.queries = std::move(deployments).value();
+  ASSERT_GE(config.queries.size(), 100u);
+
+  auto a = RunMultiQuerySystem(config);
+  auto b = RunMultiQuerySystem(config);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_EQ(a->queries.size(), b->queries.size());
+  for (std::size_t i = 0; i < a->queries.size(); ++i) {
+    const MultiQueryResult::PerQuery& x = a->queries[i];
+    const MultiQueryResult::PerQuery& y = b->queries[i];
+    SCOPED_TRACE("query " + std::to_string(i));
+    EXPECT_EQ(x.name, y.name);
+    for (int p = 0; p < kNumMessagePhases; ++p) {
+      for (int t = 0; t < kNumMessageTypes; ++t) {
+        EXPECT_EQ(x.messages.count(static_cast<MessagePhase>(p),
+                                   static_cast<MessageType>(t)),
+                  y.messages.count(static_cast<MessagePhase>(p),
+                                   static_cast<MessageType>(t)));
+      }
+    }
+    EXPECT_EQ(x.updates_reported, y.updates_reported);
+    EXPECT_EQ(x.reinits, y.reinits);
+    EXPECT_EQ(x.answer_size.count(), y.answer_size.count());
+    EXPECT_EQ(x.answer_size.mean(), y.answer_size.mean());
+    EXPECT_EQ(x.answer_size.variance(), y.answer_size.variance());
+    EXPECT_EQ(x.answer_size.min(), y.answer_size.min());
+    EXPECT_EQ(x.answer_size.max(), y.answer_size.max());
+    EXPECT_EQ(x.oracle_checks, y.oracle_checks);
+    EXPECT_EQ(x.oracle_violations, y.oracle_violations);
+    EXPECT_EQ(x.max_f_plus, y.max_f_plus);
+    EXPECT_EQ(x.max_f_minus, y.max_f_minus);
+    EXPECT_EQ(x.max_worst_rank, y.max_worst_rank);
+    EXPECT_EQ(x.oracle_violations_in_flight, y.oracle_violations_in_flight);
+    EXPECT_EQ(x.update_delay.count(), y.update_delay.count());
+    EXPECT_EQ(x.update_delay.mean(), y.update_delay.mean());
+    EXPECT_EQ(x.deployed_at, y.deployed_at);
+    EXPECT_EQ(x.retired_at, y.retired_at);
+  }
+  EXPECT_EQ(a->updates_generated, b->updates_generated);
+  EXPECT_EQ(a->physical_updates, b->physical_updates);
+  EXPECT_EQ(a->peak_live_queries, b->peak_live_queries);
+  EXPECT_EQ(NetCounters(a->net), NetCounters(b->net));
+  EXPECT_EQ(a->net.delay.count(), b->net.delay.count());
+  EXPECT_EQ(a->net.delay.mean(), b->net.delay.mean());
 }
 
 TEST(ChurnPeakConcurrencyTest, CountsOverlapsWithDeployBeforeRetire) {

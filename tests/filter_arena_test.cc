@@ -437,7 +437,7 @@ TEST(FilterArenaCellTest, EveryConstraintKindReadsBack) {
   single.Acquire();
   for (FilterArena* arena : shard_ptrs) arena->Acquire();
   FilterBank view = single.View(0);
-  FilterBank routed(shard_ptrs, 0, streams);
+  FilterBank routed(shard_ptrs.data(), shard_ptrs.size(), 0, streams);
   FilterBank owning(streams);
 
   std::size_t fp = 0;

@@ -121,7 +121,7 @@ TEST(SpillerTest, SpillAndFaultManyRecords) {
   SpillConfig config;
   config.dir = SpillDir();
   ASSERT_TRUE(config.Validate().ok());
-  auto spiller = engine_internal::QueryStateSpiller::Create(config, "test");
+  auto spiller = engine_internal::QueryStateSpiller::Create(config);
 
   // Enough records to overflow the log's write buffer several times, so
   // the faults below read both flushed and still-buffered records.

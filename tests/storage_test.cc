@@ -44,7 +44,7 @@ std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t seed) {
 // null data() of the empty output vector (UBSan: null pointer passed as
 // argument declared nonnull).
 TEST_F(SpillLogTest, ZeroLengthRecordRoundTrip) {
-  SpillLog log(dir_, "test");
+  SpillLog log(dir_);
   const RecordRef ref = log.Append({});
   EXPECT_TRUE(ref.valid());
   EXPECT_EQ(ref.bytes, 0u);
@@ -59,7 +59,7 @@ TEST_F(SpillLogTest, ZeroLengthRecordRoundTrip) {
 }
 
 TEST_F(SpillLogTest, RecordsAroundTheBufferBoundary) {
-  SpillLog log(dir_, "test");
+  SpillLog log(dir_);
   // Sizes chosen so appends repeatedly land just short of, exactly on,
   // and just past the write-buffer boundary, plus records larger than
   // the whole buffer (written directly, around buffered neighbours).
@@ -84,7 +84,7 @@ TEST_F(SpillLogTest, RecordsAroundTheBufferBoundary) {
 }
 
 TEST_F(SpillLogTest, ReadsOutOfAppendOrder) {
-  SpillLog log(dir_, "test");
+  SpillLog log(dir_);
   std::vector<RecordRef> refs;
   std::vector<std::vector<std::uint8_t>> payloads;
   for (int i = 0; i < 500; ++i) {
@@ -104,7 +104,7 @@ TEST_F(SpillLogTest, ReadsOutOfAppendOrder) {
 }
 
 TEST_F(SpillLogTest, ReadOfARecordStillInTheBuffer) {
-  SpillLog log(dir_, "test");
+  SpillLog log(dir_);
   // Push the log past one flush so the buffered record's offset differs
   // from its position in the buffer.
   const auto filler = Pattern(kBuffer - 100, 1);
@@ -123,7 +123,7 @@ TEST_F(SpillLogTest, ReadOfARecordStillInTheBuffer) {
 
 TEST_F(SpillLogTest, ScratchDirStaysEmpty) {
   {
-    SpillLog log(dir_, "test");
+    SpillLog log(dir_);
     EXPECT_TRUE(DirEmpty()) << "the log is unlinked at open";
     for (int i = 0; i < 300; ++i) log.Append(Pattern(1000, 5));
     EXPECT_EQ(log.Read(RecordRef{0, 1000}), Pattern(1000, 5));

@@ -48,27 +48,46 @@ std::vector<SystemConfig> MixedBatch() {
   return configs;
 }
 
+/// `asf_sweep --protocol=ft-nrp --param=eps --values=0,0.1,0.2,0.3
+/// --seeds=2`: FT-NRP with ε+ = ε− swept over four values, two seeds each,
+/// on asf_sweep's default workload (1000 streams, duration 1000, range
+/// 400:600).
+std::vector<SystemConfig> EpsSeedGrid() {
+  std::vector<SystemConfig> configs;
+  for (double eps : {0.0, 0.1, 0.2, 0.3}) {
+    SystemConfig base = WalkConfig(/*seed=*/1, /*num_streams=*/1000);
+    base.duration = 1000;
+    base.fraction = {eps, eps};
+    for (const SystemConfig& config : ExpandSeeds(base, 2)) {
+      configs.push_back(config);
+    }
+  }
+  return configs;
+}
+
 TEST(SweepRunnerTest, ParallelMatchesSerialByteForByte) {
-  const std::vector<SystemConfig> configs = MixedBatch();
-  ASSERT_GE(configs.size(), 8u);
+  for (const std::vector<SystemConfig>& configs :
+       {MixedBatch(), EpsSeedGrid()}) {
+    ASSERT_GE(configs.size(), 8u);
 
-  SweepOptions serial;
-  serial.num_threads = 1;
-  SweepOptions parallel;
-  parallel.num_threads = 8;
+    SweepOptions serial;
+    serial.num_threads = 1;
+    SweepOptions parallel;
+    parallel.num_threads = 8;
 
-  auto a = RunSweepAll(configs, serial);
-  auto b = RunSweepAll(configs, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), configs.size());
-  ASSERT_EQ(b->size(), configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    // ToString covers every deterministic field (wall_seconds, the only
-    // host-dependent one, is deliberately not part of it).
-    EXPECT_EQ((*a)[i].ToString(), (*b)[i].ToString()) << "config " << i;
-    EXPECT_EQ((*a)[i].messages.Total(), (*b)[i].messages.Total());
-    EXPECT_EQ((*a)[i].fp_filters_installed, (*b)[i].fp_filters_installed);
+    auto a = RunSweepAll(configs, serial);
+    auto b = RunSweepAll(configs, parallel);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a->size(), configs.size());
+    ASSERT_EQ(b->size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      // ToString covers every deterministic field (wall_seconds, the only
+      // host-dependent one, is deliberately not part of it).
+      EXPECT_EQ((*a)[i].ToString(), (*b)[i].ToString()) << "config " << i;
+      EXPECT_EQ((*a)[i].messages.Total(), (*b)[i].messages.Total());
+      EXPECT_EQ((*a)[i].fp_filters_installed, (*b)[i].fp_filters_installed);
+    }
   }
 }
 
