@@ -275,7 +275,22 @@ void QueryHost::RetireSlot(std::size_t index) {
   // more: append the record to the spill log and free the hot copies
   // (DESIGN.md §13). The arena column is already gone — the arenas
   // themselves never spill.
-  if (spiller_) SpillRetiredSlot(*spiller_, slot);
+  if (spiller_) SpillRetired(slot);
+}
+
+void QueryHost::SpillRetired(Slot& slot) {
+  ASF_CHECK_MSG(!slot.live, "spill of a live slot");
+  ASF_CHECK_MSG(!slot.spilled.valid(), "slot spilled twice");
+  slot.spilled = spiller_->Spill(slot.stats);
+  slot.stats_resident = false;
+  slot.stats = QueryRunStats();
+  slot.deployment = QueryDeployment();
+  slot.protocol.reset();
+  slot.ctx.reset();
+  slot.rng.reset();
+  slot.filters.reset();
+  slot.update_seq_floor.clear();
+  slot.update_seq_floor.shrink_to_fit();
 }
 
 void QueryHost::RouteCrossings(StreamId id, Value v, SimTime t,
@@ -516,8 +531,14 @@ const QueryRunStats& QueryHost::query_stats(std::size_t i) const {
   // Fault a spilled record back on demand. The method stays const in
   // spirit — the observable stats are identical, only their storage moves
   // from the spill log to RAM (unique_ptr makes the write representable).
-  EnsureStatsResident(spiller_.get(), *slots_[i]);
-  return slots_[i]->stats;
+  Slot& slot = *slots_[i];
+  if (!slot.stats_resident) {
+    ASF_CHECK_MSG(spiller_ != nullptr && slot.spilled.valid(),
+                  "non-resident stats without a spilled record");
+    slot.stats = spiller_->Fault(slot.spilled);
+    slot.stats_resident = true;
+  }
+  return slot.stats;
 }
 
 SpillTelemetry QueryHost::spill_telemetry() const {

@@ -6,12 +6,12 @@
 #include <memory>
 #include <vector>
 
-#include "engine/query_slot.h"
 #include "engine/sim_core.h"
 #include "engine/spill.h"
 #include "filter/filter_arena.h"
 #include "net/network_model.h"
 #include "sim/scheduler.h"
+#include "storage/spill_log.h"
 
 /// \file
 /// The server side of a run, shared by the serial and sharded engines: the
@@ -43,6 +43,48 @@
 
 namespace asf {
 namespace engine_internal {
+
+/// Server-side runtime of one deployed query.
+struct QuerySlot {
+  QueryDeployment deployment;
+  /// This slot's index in the engine's deployment order — the stable
+  /// query address network messages carry (arena columns move under
+  /// compaction, slot indices never do).
+  std::size_t index = 0;
+  SimTime deploy_at = 0;
+  SimTime retire_at = kNeverRetire;
+  /// View into the shared filter storage while live; detached otherwise.
+  std::unique_ptr<FilterBank> filters;
+  std::unique_ptr<ServerContext> ctx;
+  std::unique_ptr<Rng> rng;
+  std::unique_ptr<Protocol> protocol;
+  QueryRunStats stats;
+
+  bool live = false;
+  /// The slot's arena column while live (moves under compaction).
+  std::size_t column = FilterArena::kNoColumn;
+
+  /// Incremental answer-size accounting: the answer only changes when
+  /// this query's protocol handles a fired update, so the per-update
+  /// sample stream is a run-length sequence — `answer_cur_size` repeated
+  /// since sample number `answer_sampled_upto` (see FlushAnswerSamples).
+  double answer_cur_size = 0.0;
+  std::uint64_t answer_sampled_upto = 0;
+
+  /// Per-stream floor of applied wire sequence numbers, maintained only
+  /// when a reordering delivery model stamps them (Payload::seq != 0):
+  /// a payload at or below the floor was obsoleted by an overtaker and is
+  /// suppressed, so the server cache never regresses to a stale value.
+  std::vector<std::uint64_t> update_seq_floor;
+
+  /// Out-of-core state (DESIGN.md §13). After a spilling retire, the
+  /// closed stats record lives in the spill log behind `spilled` and the
+  /// hot members above are dropped; `stats_resident` flips back to true
+  /// when query_stats() faults the record in. valid() spilled + resident
+  /// means both copies exist and the in-memory one is authoritative.
+  storage::RecordRef spilled;
+  bool stats_resident = true;
+};
 
 /// One deploy or retirement of the lifecycle schedule.
 struct LifecycleEvent {
@@ -189,6 +231,14 @@ class QueryHost {
   /// Appends the slot's pending run of unchanged answer-size samples (one
   /// per generated update, up to update number `upto`) in O(1).
   static void FlushAnswerSamples(Slot& slot, std::uint64_t upto);
+
+  /// Appends a retired slot's closed books to the spill log and frees
+  /// every in-memory copy: the stats record and the slot's runtime —
+  /// protocol, server context, RNG, detached filter bank, deployment
+  /// record, seq floors. Every post-retirement delivery, audit and
+  /// reconcile path gates on slot.live first, so nothing touches the
+  /// freed members.
+  void SpillRetired(Slot& slot);
 
   const SimulationCore::Options& options_;
   const std::vector<Value>& values_;

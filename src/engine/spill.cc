@@ -144,31 +144,5 @@ SpillTelemetry QueryStateSpiller::Telemetry() const {
   return t;
 }
 
-void SpillRetiredSlot(QueryStateSpiller& spiller, QuerySlot& slot) {
-  ASF_CHECK_MSG(!slot.live, "spill of a live slot");
-  ASF_CHECK_MSG(!slot.spilled.valid(), "slot spilled twice");
-  slot.spilled = spiller.Spill(slot.stats);
-  slot.stats_resident = false;
-  // Drop the hot copies. Everything below is only reachable through
-  // slot.live gates (see engine/query_slot.h), so freed members are
-  // never dereferenced; the stats come back through Fault on demand.
-  slot.stats = QueryRunStats();
-  slot.deployment = QueryDeployment();
-  slot.protocol.reset();
-  slot.ctx.reset();
-  slot.rng.reset();
-  slot.filters.reset();
-  slot.update_seq_floor.clear();
-  slot.update_seq_floor.shrink_to_fit();
-}
-
-void EnsureStatsResident(QueryStateSpiller* spiller, QuerySlot& slot) {
-  if (slot.stats_resident) return;
-  ASF_CHECK_MSG(spiller != nullptr && slot.spilled.valid(),
-                "non-resident stats without a spilled record");
-  slot.stats = spiller->Fault(slot.spilled);
-  slot.stats_resident = true;
-}
-
 }  // namespace engine_internal
 }  // namespace asf

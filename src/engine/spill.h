@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "engine/query_slot.h"
 #include "engine/sim_core.h"
 #include "engine/spill_config.h"
 #include "storage/spill_log.h"
@@ -80,19 +79,6 @@ class QueryStateSpiller {
   obs::Profiler* obs_profiler_ = nullptr;
   const SimTime* obs_clock_ = nullptr;
 };
-
-/// Spills a retired slot's closed books and drops every in-memory copy:
-/// the stats record goes to the log, and the slot's heavy runtime —
-/// protocol, server context, RNG, detached filter bank, the deployment
-/// record, the per-stream seq floors — is freed. Every post-retirement
-/// delivery/oracle/reconcile path gates on slot.live first, so nothing
-/// ever touches the freed members. The books must already be closed
-/// (slot.live == false, stats final).
-void SpillRetiredSlot(QueryStateSpiller& spiller, QuerySlot& slot);
-
-/// Makes slot.stats authoritative again, faulting the spilled record
-/// back if the hot copy was dropped. No-op for never-spilled slots.
-void EnsureStatsResident(QueryStateSpiller* spiller, QuerySlot& slot);
 
 }  // namespace engine_internal
 }  // namespace asf
