@@ -1,10 +1,13 @@
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/interval.h"
+#include "engine/churn.h"
 #include "engine/multi_system.h"
 #include "engine/system.h"
 #include "net/fault_pipeline.h"
@@ -384,6 +387,181 @@ TEST(NetFaultPinTest, RtpKnnCountersMatchRecordedValues) {
           << pin.spec << " s" << pin.shards << " " << net[i].first;
     }
     ExpectConservation(run->net, pin.spec);
+  }
+}
+
+// ------------------------------ cross-commit identity pin (FT-NRP churn)
+
+MultiQueryConfig FtChurnPinConfig(const char* spec, std::size_t shards) {
+  MultiQueryConfig config;
+  RandomWalkConfig walk;
+  walk.num_streams = 400;
+  walk.seed = 5;
+  config.source = SourceSpec::Walk(walk);
+  config.duration = 800;
+  config.seed = 5;
+  config.oracle.sample_interval = 20;
+  // The stabbing index, so the dirty marks every column install, uninstall
+  // and compaction leaves behind reach the pinned rebuild counters.
+  config.dispatch = DispatchPolicy::kIndex;
+  config.shards = shards;
+  config.net = ParseNetSpec(spec).value();
+  ChurnSpec churn;
+  churn.arrival_rate = 0.2;
+  churn.mean_lifetime = 150;
+  churn.seed = 5;
+  ChurnMixEntry entry;
+  entry.protocol = ProtocolKind::kFtNrp;
+  entry.eps_plus = 0.2;
+  entry.eps_minus = 0.2;
+  churn.mix = {entry};
+  config.queries = ExpandChurn(churn, config.duration).value();
+  return config;
+}
+
+/// FNV-1a over every per-query figure of a multi-query run (doubles by
+/// bit pattern), in query order.
+std::uint64_t PerQueryDigest(const MultiQueryResult& result) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto add = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto add_double = [&add](double x) {
+    add(std::bit_cast<std::uint64_t>(x));
+  };
+  for (const MultiQueryResult::PerQuery& q : result.queries) {
+    for (const char c : q.name) add(static_cast<unsigned char>(c));
+    for (int p = 0; p < kNumMessagePhases; ++p) {
+      for (int t = 0; t < kNumMessageTypes; ++t) {
+        add(q.messages.count(static_cast<MessagePhase>(p),
+                             static_cast<MessageType>(t)));
+      }
+    }
+    add(q.updates_reported);
+    add(q.reinits);
+    add(q.answer_size.count());
+    add_double(q.answer_size.mean());
+    add_double(q.answer_size.variance());
+    add_double(q.answer_size.min());
+    add_double(q.answer_size.max());
+    add(q.oracle_checks);
+    add(q.oracle_violations);
+    add_double(q.max_f_plus);
+    add_double(q.max_f_minus);
+    add(q.max_worst_rank);
+    add(q.oracle_violations_in_flight);
+    add(q.update_delay.count());
+    add_double(q.update_delay.mean());
+    add_double(q.deployed_at);
+    add_double(q.retired_at);
+  }
+  return h;
+}
+
+/// An FT-NRP churn population — 400 streams, arrivals at rate 0.2 with
+/// mean lifetime 150, ε± = 0.2 — under instant, zero-delay, delayed,
+/// batched and lossy nets, serial and sharded, with every per-query
+/// figure, every NetStats counter and the dispatch counters pinned to
+/// values recorded before query columns were installed in one pass. FT's
+/// installs are the longest deploy bursts of any protocol, and under a
+/// delaying net their send order decides arrival order, jitter draws and
+/// retransmission timers; the identity suites compare two engines that
+/// would drift together.
+TEST(NetFaultPinTest, FtNrpChurnMatchesRecordedValues) {
+  struct Pin {
+    const char* spec;
+    std::size_t shards;
+    std::uint64_t digest;
+    /// queries, updates generated, physical updates, peak live.
+    std::uint64_t run[4];
+    /// NetCounters order.
+    std::uint64_t net[24];
+    /// scan dispatches, index dispatches, index rebuilds, max stream
+    /// rebuilds.
+    std::uint64_t dispatch[4];
+  };
+  const Pin kPins[] = {
+      {"instant", 1, 6244247357396843008ull,
+       {177, 15778, 5310, 40},
+       {8254, 5310, 8254, 8254, 130426, 71626, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0},
+       {0, 15778, 2630, 9}},
+      {"instant", 3, 6244247357396843008ull,
+       {177, 15778, 5310, 40},
+       {8254, 5310, 8254, 8254, 130426, 71626, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0},
+       {0, 15778, 2630, 9}},
+      {"latency:0", 1, 6244247357396843008ull,
+       {177, 15778, 5310, 40},
+       {8254, 5310, 8254, 8254, 130426, 71626, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0},
+       {0, 15778, 2630, 9}},
+      {"latency:0", 3, 6244247357396843008ull,
+       {177, 15778, 5310, 40},
+       {8254, 5310, 8254, 8254, 130426, 71626, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0},
+       {0, 15778, 2630, 9}},
+      {"latency:3:2", 1, 1065830964698759128ull,
+       {177, 15778, 11514, 40},
+       {22063, 11514, 22000, 21444, 130016, 71624, 556, 60296, 453, 63, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+       {0, 15778, 2669, 9}},
+      {"latency:3:2", 3, 1065830964698759128ull,
+       {177, 15778, 11514, 40},
+       {22063, 11514, 22000, 21444, 130016, 71624, 556, 60296, 453, 63, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+       {0, 15778, 2694, 9}},
+      {"batch:5", 1, 5861537873636313508ull,
+       {177, 15778, 4935, 40},
+       {8239, 4935, 7920, 8122, 130403, 71603, 117, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0},
+       {0, 15778, 2631, 9}},
+      {"batch:5", 3, 5861537873636313508ull,
+       {177, 15778, 4935, 40},
+       {8239, 4935, 7920, 8122, 130403, 71603, 117, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0},
+       {0, 15778, 2631, 9}},
+      {"latency:4+loss:0.05:3", 1, 3552682441724072207ull,
+       {177, 15778, 11266, 40},
+       {22447, 11266, 21651, 21117, 129854, 71592, 534, 59986, 1986, 65, 731,
+        0, 0, 207136, 76744, 13322, 124839, 69645, 67035, 1287, 14969, 354, 0,
+        0},
+       {0, 15778, 2665, 9}},
+      {"latency:4+loss:0.05:3", 3, 3552682441724072207ull,
+       {177, 15778, 11266, 40},
+       {22447, 11266, 21651, 21117, 129854, 71592, 534, 59986, 1986, 65, 731,
+        0, 0, 207136, 76744, 13322, 124839, 69645, 67035, 1287, 14969, 354, 0,
+        0},
+       {0, 15778, 2693, 9}},
+  };
+  for (const Pin& pin : kPins) {
+    auto run = RunMultiQuerySystem(FtChurnPinConfig(pin.spec, pin.shards));
+    ASSERT_TRUE(run.ok()) << pin.spec;
+    const std::string label =
+        std::string(pin.spec) + " s" + std::to_string(pin.shards);
+    EXPECT_EQ(PerQueryDigest(*run), pin.digest) << label << " digest";
+    const std::uint64_t got[4] = {run->queries.size(), run->updates_generated,
+                                  run->physical_updates,
+                                  run->peak_live_queries};
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(got[i], pin.run[i]) << label << " run[" << i << "]";
+    }
+    const auto net = NetCounters(run->net);
+    ASSERT_EQ(net.size(), 24u);
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      EXPECT_EQ(net[i].second, pin.net[i]) << label << " " << net[i].first;
+    }
+    const std::uint64_t dispatch[4] = {
+        run->dispatch.scan_dispatches, run->dispatch.index_dispatches,
+        run->dispatch.index_rebuilds, run->dispatch.max_stream_rebuilds};
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(dispatch[i], pin.dispatch[i])
+          << label << " dispatch[" << i << "]";
+    }
+    ExpectConservation(run->net, label.c_str());
   }
 }
 
