@@ -67,7 +67,10 @@ QueryHost::QueryHost(const SimulationCore::Options& options,
         OnNetUpdate(id, payloads, count, at);
       },
       [this](std::size_t slot, StreamId id, const FilterConstraint& constraint,
-             SimTime at) { OnNetDeploy(slot, id, constraint, at); });
+             SimTime at) { OnNetDeploy(slot, id, constraint, at); },
+      [this](std::size_t slot, const DeployBatch& batch, SimTime at) {
+        OnNetDeployBatch(slot, batch, at);
+      });
   net_->BindReconcile([this](SimTime at) { OnNetReconcile(at); });
 
   // Observability attachment (DESIGN.md §14). Rings below ring_ belong to
@@ -174,6 +177,9 @@ void QueryHost::WireSlot(Slot& slot) {
                                    const FilterConstraint& constraint) {
     net_->SendDeploy(index, id, constraint, now_);
   };
+  transport.deploy_batch = [this, index](const DeployBatch& batch) {
+    net_->SendDeployBatch(index, batch, now_);
+  };
   const QueryDeployment& dep = slot.deployment;
   slot.ctx = std::make_unique<ServerContext>(values_.size(),
                                              std::move(transport),
@@ -199,6 +205,7 @@ void QueryHost::RebindLiveViews() {
 }
 
 void QueryHost::InstallSlot(std::size_t index) {
+  obs::ScopedPhase obs_phase(options_.obs.profiler, obs::Phase::kLifecycle);
   Slot& slot = *slots_[index];
   ASF_CHECK(!slot.live);
   WireSlot(slot);
@@ -240,14 +247,18 @@ void QueryHost::InstallSlot(std::size_t index) {
 }
 
 void QueryHost::RetireSlot(std::size_t index) {
+  obs::ScopedPhase obs_phase(options_.obs.profiler, obs::Phase::kLifecycle);
   Slot& slot = *slots_[index];
   ASF_CHECK(slot.live);
 
   // Uninstall this query's filters: the server tells every stream to drop
   // the constraint (a pass-through deploy), the termination counterpart of
   // the initial installation. Charged as maintenance kFilterDeploy under
-  // the query's broadcast model, like any other redeploy.
+  // the query's broadcast model, like any other redeploy. Delivered
+  // inline, the uninstall writes no cell (OnNetDeployBatch).
+  uninstalling_ = index;
   slot.ctx->DeployAll(FilterConstraint::NoFilter());
+  uninstalling_ = kNoSlot;
 
   // Close the books inside the live window.
   FlushAnswerSamples(slot, updates_generated_);
@@ -428,6 +439,30 @@ void QueryHost::OnNetDeploy(std::size_t slot_index, StreamId id,
   // band by the configured guard margin (DESIGN.md §11).
   slot.filters->Deploy(id, CompensateConstraint(constraint, options_.net.comp),
                        values_[id]);
+}
+
+void QueryHost::OnNetDeployBatch(std::size_t slot_index,
+                                 const DeployBatch& batch, SimTime at) {
+  Slot& slot = *slots_[slot_index];
+  if (slot_index == uninstalling_) {
+    // A retiring query's uninstall: the Release that follows discards the
+    // column's cells, so none is written. The per-stream dirty marks the
+    // deploys would leave in the dispatch index are kept, so its rebuild
+    // schedule is that of the cell-by-cell uninstall.
+    ASF_DCHECK(batch.size() == values_.size());
+    for (const auto& arena : arenas_) arena->MarkColumnRedeployed(slot.column);
+    return;
+  }
+  if (!slot.live || options_.net.comp > 0) {
+    for (const StreamDeploy& d : batch) {
+      OnNetDeploy(slot_index, d.id, d.constraint, at);
+    }
+    return;
+  }
+  AssertViewFresh(*slot.filters, *arenas_.front());
+  // Every agent resets its reference against its current value, as
+  // OnNetDeploy per entry would — one pass down the query's column.
+  slot.filters->DeployColumn(batch, values_);
 }
 
 void QueryHost::OnNetReconcile(SimTime at) {

@@ -150,8 +150,9 @@ class QueryHost {
   void InstallSlot(std::size_t index);
 
   /// The retire event: uninstalls the slot's filters (a pass-through
-  /// deploy per stream), closes its books, releases its column with
-  /// live-prefix compaction, and spills the closed record if enabled.
+  /// deploy per stream, sent as one batch), closes its books, releases its
+  /// column with live-prefix compaction, and spills the closed record if
+  /// enabled.
   void RetireSlot(std::size_t index);
 
   /// Counts one generated update; false (and nothing counted) while no
@@ -221,6 +222,10 @@ class QueryHost {
                    std::size_t count, SimTime at);
   void OnNetDeploy(std::size_t slot, StreamId id,
                    const FilterConstraint& constraint, SimTime at);
+  /// A deploy batch delivered inline: one column write (or, for the
+  /// uninstall of a retiring slot, only the index accounting).
+  void OnNetDeployBatch(std::size_t slot, const DeployBatch& batch,
+                        SimTime at);
   void OnNetReconcile(SimTime at);
 
   /// Delivers one update payload to a live slot: counts the logical
@@ -265,6 +270,9 @@ class QueryHost {
   bool net_delayed_ = false;
   /// Scratch: slot indices of the update being routed.
   std::vector<std::size_t> fired_slots_;
+  /// The slot whose uninstall broadcast RetireSlot is sending, if any.
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  std::size_t uninstalling_ = kNoSlot;
 
   bool ran_ = false;
   std::size_t peak_live_ = 0;

@@ -2,8 +2,10 @@
 #define ASF_FILTER_CONSTRAINT_H_
 
 #include <string>
+#include <vector>
 
 #include "common/interval.h"
+#include "common/types.h"
 
 /// \file
 /// Filter constraints as assigned by the server's constraint assignment
@@ -82,6 +84,17 @@ class FilterConstraint {
   bool has_filter_;
   Interval interval_;
 };
+
+/// One server→source constraint install: `constraint` for stream `id`.
+struct StreamDeploy {
+  StreamId id = 0;
+  FilterConstraint constraint;
+};
+
+/// A query's installs sent as one unit — one message per entry, in entry
+/// order. The server sends a whole column this way when it initializes or
+/// uninstalls a query (DESIGN.md §9).
+using DeployBatch = std::vector<StreamDeploy>;
 
 }  // namespace asf
 

@@ -12,11 +12,6 @@
 
 namespace asf {
 
-namespace {
-constexpr double kSentinelLower = kInf;
-constexpr double kSentinelUpper = -kInf;
-}  // namespace
-
 FilterArena::FilterArena(std::size_t num_streams)
     : num_streams_(num_streams),
       known_values_(num_streams,
@@ -33,34 +28,29 @@ void FilterArena::WriteCell(StreamId id, std::size_t column,
   // [inf, inf] can contain no finite value, [-inf, inf] contains every
   // finite value — both exactly Interval::Contains for the finite stream
   // values the kernel contract requires. With no filter installed every
-  // update reports: the bounds are sentinel so the inside mask stays 0,
-  // and the reference bit (0, as Filter::Deploy sets it) is preserved
-  // verbatim by the kernel's blend, as OnValueChange leaves it.
+  // update reports through the `always` bit whatever the lanes hold, so
+  // they are left alone, and the reference bit (0, as Filter::Deploy sets
+  // it) is preserved verbatim by the kernel's blend, as OnValueChange
+  // leaves it.
   const bool filtered = constraint.has_filter();
-  const std::size_t lane = id * stride_ + column;
-  lower_[lane] = filtered ? constraint.interval().lo() : kSentinelLower;
-  upper_[lane] = filtered ? constraint.interval().hi() : kSentinelUpper;
+  if (filtered) {
+    const std::size_t lane = id * stride_ + column;
+    lower_[lane] = constraint.interval().lo();
+    upper_[lane] = constraint.interval().hi();
+  }
   SetBit(always_bits_, id, column, !filtered);
   SetBit(ref_bits_, id, column,
          filtered && constraint.interval().Contains(current_value));
 }
 
-void FilterArena::SentinelCell(StreamId id, std::size_t column) {
-  const std::size_t lane = id * stride_ + column;
-  lower_[lane] = kSentinelLower;
-  upper_[lane] = kSentinelUpper;
-  SetBit(always_bits_, id, column, false);
-  SetBit(ref_bits_, id, column, false);
-}
-
 void FilterArena::Restride() {
   const std::size_t old_stride = stride_;
   const std::size_t old_words = words_;
-  stride_ = PaddedStride(capacity_);
-  words_ = stride_ / 64;
+  words_ = WordsFor(capacity_);
+  stride_ = 64 * words_ + kStridePad;
   // Live columns keep their indices; only the row stride changes. Lanes
-  // at or beyond live() come up sentinel, and bits at or beyond live()
-  // are 0 in the old words as in the new.
+  // at or beyond live() are dead (they come up 0), and bits at or beyond
+  // live() are 0 in the old words as in the new.
   const auto widen = [this](auto& rows, std::size_t old_width,
                             std::size_t width, std::size_t keep, auto fill) {
     const auto old = std::move(rows);
@@ -71,8 +61,8 @@ void FilterArena::Restride() {
                   rows.begin() + id * width);
     }
   };
-  widen(lower_, old_stride, stride_, live_, kSentinelLower);
-  widen(upper_, old_stride, stride_, live_, kSentinelUpper);
+  widen(lower_, old_stride, stride_, live_, 0.0);
+  widen(upper_, old_stride, stride_, live_, 0.0);
   widen(ref_bits_, old_words, words_, old_words, std::uint64_t{0});
   widen(always_bits_, old_words, words_, old_words, std::uint64_t{0});
   if (tracking_) {
@@ -86,49 +76,68 @@ std::size_t FilterArena::Acquire() {
     // Grow by doubling; the lanes only widen at 64-column steps.
     capacity_ = capacity_ == 0 ? 1 : capacity_ * 2;
     ++generation_;  // every outstanding view now points at stale layout
-    if (PaddedStride(capacity_) != stride_) Restride();
+    if (WordsFor(capacity_) != words_) Restride();
   }
   const std::size_t column = live_++;
-  // Recycled columns must come up pristine (no filter installed): a
-  // retiring tenant leaves its last filter states behind.
+  // The new tenant has no filter installed anywhere: `always` set and the
+  // reference 0 (as Filter::Deploy of no filter leaves it). The lanes keep
+  // whatever a former tenant left — no-filter cells never read them.
+  const std::size_t w = column / 64;
+  const std::uint64_t mask = std::uint64_t{1} << (column % 64);
   for (std::size_t s = 0; s < num_streams_; ++s) {
-    WriteCell(s, column, FilterConstraint::NoFilter(), 0.0);
+    always_bits_[s * words_ + w] |= mask;
+    ref_bits_[s * words_ + w] &= ~mask;
   }
   // A re-acquired column may shadow stale snapshot entries in the index.
-  if (index_) index_->OnAcquire(column);
+  if (index_) index_->OnColumnChanged(column);
   return column;
 }
 
 std::size_t FilterArena::Release(std::size_t column) {
   ASF_CHECK(column < live_);
+  constexpr std::size_t kMoveAhead = 8;
   const std::size_t last = live_ - 1;
-  if (column != last) {
-    // Keep the live prefix dense: the last tenant moves into the hole.
-    for (std::size_t s = 0; s < num_streams_; ++s) {
+  const bool move = column != last;
+  const std::size_t last_w = last / 64;
+  const std::uint64_t last_mask = ~(std::uint64_t{1} << (last % 64));
+  // One pass per stream: the last tenant moves into the hole (keeping the
+  // live prefix dense), then the vacated last column's bits clear. Its
+  // lanes stay as they are: beyond live() the kernel masks them off, and
+  // Acquire sets `always` before anything could read them.
+  for (std::size_t s = 0; s < num_streams_; ++s) {
+    if (move) {
+      // The lane rows sit a stride apart, too far for the hardware
+      // prefetcher; fetch both cells a few rows ahead.
+      if (s + kMoveAhead < num_streams_) {
+        const std::size_t ahead = (s + kMoveAhead) * stride_;
+        __builtin_prefetch(&lower_[ahead + last]);
+        __builtin_prefetch(&upper_[ahead + last]);
+        __builtin_prefetch(&lower_[ahead + column], 1);
+        __builtin_prefetch(&upper_[ahead + column], 1);
+      }
       lower_[s * stride_ + column] = lower_[s * stride_ + last];
       upper_[s * stride_ + column] = upper_[s * stride_ + last];
       SetBit(ref_bits_, s, column, Bit(ref_bits_, s, last));
       SetBit(always_bits_, s, column, Bit(always_bits_, s, last));
-      if (tracking_) {
-        const bool moved_touched = Bit(touched_bits_, s, last);
+    }
+    ref_bits_[s * words_ + last_w] &= last_mask;
+    always_bits_[s * words_ + last_w] &= last_mask;
+    if (tracking_) {
+      const bool moved_touched = Bit(touched_bits_, s, last);
+      if (move) {
         SetBit(touched_bits_, s, column, moved_touched);
         if (moved_touched) {
           // The moved tenant's touched mark now answers at the hole; the
           // per-stream list must learn the new position (the old entry at
           // `last` goes stale and is compacted away lazily).
           touched_cols_[s].push_back(static_cast<std::uint32_t>(column));
-          touched_cols_stale_[s] = 1;
         }
       }
+      touched_bits_[s * words_ + last_w] &= last_mask;
     }
-    if (index_) index_->OnRelease(column, last);
   }
+  if (move && index_) index_->OnRelease(column, last);
   --live_;
-  // The vacated last column must never fire again until re-acquired.
-  for (std::size_t s = 0; s < num_streams_; ++s) {
-    SentinelCell(s, last);
-    if (tracking_) SetBit(touched_bits_, s, last, false);
-  }
   if (tracking_) {
     // Cleared `last` bits may leave stale list entries behind.
     std::fill(touched_cols_stale_.begin(), touched_cols_stale_.end(),
@@ -137,7 +146,7 @@ std::size_t FilterArena::Release(std::size_t column) {
   // The released column's views (and, after a move, the last column's) are
   // stale either way.
   ++generation_;
-  if (column != last && relocate_) relocate_(last, column);
+  if (move && relocate_) relocate_(last, column);
   return last;
 }
 
@@ -159,8 +168,9 @@ SilentFilterCounts FilterArena::CountSilent(std::size_t column) const {
   ASF_DCHECK(column < live_);
   SilentFilterCounts counts;
   for (StreamId id = 0; id < num_streams_; ++id) {
-    // Both silent forms end at +inf; no-filter cells hold the -inf
-    // sentinel upper bound, so they never count.
+    // Both silent forms end at +inf; no-filter cells are skipped, their
+    // lanes being whatever a former tenant left.
+    if (Bit(always_bits_, id, column)) continue;
     const std::size_t lane = id * stride_ + column;
     if (upper_[lane] != kInf) continue;
     if (lower_[lane] == -kInf) ++counts.false_positive;
@@ -178,13 +188,38 @@ void FilterArena::Deploy(StreamId id, std::size_t column,
   if (index_) index_->OnDeploy(id, column);
 }
 
+void FilterArena::DeployColumn(FilterArena* const* arenas,
+                               std::size_t num_arenas, std::size_t column,
+                               const DeployBatch& batch,
+                               const std::vector<Value>& values) {
+  ASF_DCHECK(num_arenas > 0);
+  if (num_arenas == 1) {
+    FilterArena& arena = *arenas[0];
+    for (const StreamDeploy& d : batch) {
+      arena.Deploy(d.id, column, d.constraint, values[d.id]);
+    }
+    return;
+  }
+  for (const StreamDeploy& d : batch) {
+    arenas[d.id % num_arenas]->Deploy(d.id / num_arenas, column, d.constraint,
+                                      values[d.id]);
+  }
+}
+
+void FilterArena::MarkColumnRedeployed(std::size_t column) {
+  ASF_DCHECK(column < live_);
+  if (index_) index_->OnColumnChanged(column);
+}
+
 void FilterArena::SyncReference(StreamId id, std::size_t column,
                                 Value current_value) {
   ASF_DCHECK(id < num_streams_ && column < live_);
-  // No-filter cells hold sentinel lanes, so their reference stays 0 —
-  // Filter::SyncReference leaves it untouched likewise.
-  SetBit(ref_bits_, id, column,
-         LaneInside(id * stride_ + column, current_value));
+  // A no-filter cell's reference stays as it is (0), as
+  // Filter::SyncReference leaves it; its lanes mean nothing.
+  if (!Bit(always_bits_, id, column)) {
+    SetBit(ref_bits_, id, column,
+           LaneInside(id * stride_ + column, current_value));
+  }
   // No index dirty-mark: a reference sync changes no bounds, and the
   // serial engine only syncs at dispatch-coherent values; the sharded
   // replay's syncs land on cells the epoch already dirty-marked via
@@ -204,13 +239,20 @@ const std::uint64_t* FilterArena::EvaluateUpdate(StreamId id, Value v) {
     const std::uint64_t inside = simd::InsideMask64(v, lower + w * 64,
                                                     upper + w * 64);
     // A filtered column fires on a membership flip; a no-filter column
-    // fires always (sentinel lanes have inside == ref == always == 0 and
-    // stay silent). The advanced reference is the new membership for
+    // fires always. The advanced reference is the new membership for
     // filtered columns and is preserved for no-filter columns, exactly
     // OnValueChange's contract — three word ops for 64 columns, with no
     // per-column work regardless of how many fire.
     fired_[w] = (inside ^ ref[w]) | always[w];
     ref[w] = (inside & ~always[w]) | (ref[w] & always[w]);
+  }
+  // Dead columns at or beyond live() have always == ref == 0 but may hold
+  // stale lanes: mask the tail word to the live prefix so they neither
+  // fire nor gain a reference.
+  if (live_ % 64 != 0) {
+    const std::uint64_t tail = (std::uint64_t{1} << (live_ % 64)) - 1;
+    fired_[words - 1] &= tail;
+    ref[words - 1] &= tail;
   }
   return fired_.data();
 }

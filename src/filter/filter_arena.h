@@ -28,24 +28,31 @@
 /// (DESIGN.md §8): per stream strip, the interval bounds as dense
 /// `lower[]` / `upper[]` double lanes plus two bitmask words per 64
 /// columns — `ref` (the membership reference) and `always`
-/// (no-filter-installed columns, which report every update). The strip
-/// stride is padded to a multiple of 64 columns; lanes at or beyond live()
-/// hold sentinel bounds (+inf / -inf) so they can never fire. cell() and
-/// FilterBank::at() rebuild a `Filter` from the lanes and bits by value.
+/// (no-filter-installed columns, which report every update). The mask
+/// words cover the capacity rounded up to 64 columns; the lane stride is
+/// that plus one cache line, so strip starts never sit a power of two
+/// apart and a walk down one column does not keep landing in the same
+/// cache sets. Only the bits are authoritative for no-filter cells and
+/// for columns at or beyond live(): their lanes may hold a former
+/// tenant's stale bounds, which `always` overrides and the kernel masks
+/// off the tail word. cell() and FilterBank::at() rebuild a `Filter` from
+/// the lanes and bits by value.
 ///
 /// EvaluateUpdate() is the branch-free crossing kernel over that state:
 /// one SIMD sweep computes the inside mask, one word op each derives the
 /// fired mask `(inside XOR ref) OR always` and the advanced reference
 /// `ref' = inside` for filtered columns — no per-column work at all, no
-/// matter how many fire. Every mutation path (Deploy / SyncReference /
-/// growth / compaction) writes the lanes and bits directly, so kernel
-/// results always equal running Filter::OnValueChange cell by cell
-/// (tests/filter_arena_test.cc).
+/// matter how many fire. Every mutation path (Deploy / DeployColumn /
+/// SyncReference / growth / compaction) writes the lanes and bits
+/// directly, so kernel results always equal running
+/// Filter::OnValueChange cell by cell (tests/filter_arena_test.cc).
 ///
 /// Columns are the unit of tenancy. A deploying query Acquires the next
 /// free column (always the current live count, keeping live columns dense
-/// at 0..live-1); a retiring query Releases its column, and the *last*
-/// live column is swap-moved into the hole so the strip stays contiguous.
+/// at 0..live-1) and installs its constraints in one DeployColumn pass; a
+/// retiring query Releases its column, and the *last* live column is
+/// swap-moved into the hole so the strip stays contiguous. Acquire and
+/// the vacate half of Release touch only the column's bit words.
 ///
 /// Every layout change that can invalidate an outstanding view — growth
 /// and compaction — bumps `generation()`. FilterBank views carry the
@@ -78,7 +85,7 @@ class FilterArena {
   std::size_t live() const { return live_; }
 
   /// Tenancy capacity in columns (doubles on growth); the lanes are
-  /// allocated at capacity() padded to a multiple of 64.
+  /// allocated at capacity() rounded up to 64, plus one cache line.
   std::size_t capacity() const { return capacity_; }
 
   /// Bumped whenever outstanding views may have gone stale (growth or
@@ -88,11 +95,13 @@ class FilterArena {
   /// Acquires a fresh column for a deploying query, growing (doubling) the
   /// storage when full. Returns the column index, which is always the
   /// pre-call live(). All acquired filters start in the default
-  /// no-filter-installed state. Growth bumps generation().
+  /// no-filter-installed state; only the column's bit words are written.
+  /// Growth bumps generation().
   std::size_t Acquire();
 
   /// Releases `column` (must be live): the highest live column is
-  /// swap-moved into it to keep the live prefix dense, and generation() is
+  /// swap-moved into it to keep the live prefix dense, its vacated bit
+  /// words are cleared (its lanes are left as they are), and generation() is
   /// bumped. Returns the index of the column that was moved — i.e. its
   /// *old* index, so the caller can retag the tenant that now lives in
   /// `column` — or `column` itself when it was the last live column (no
@@ -134,6 +143,22 @@ class FilterArena {
   void Deploy(StreamId id, std::size_t column,
               const FilterConstraint& constraint, Value current_value);
 
+  /// Installs every entry of `batch` at `column` of the lockstep arena set
+  /// `arenas[0..num_arenas)` (stream id -> arena id % S, row id / S), each
+  /// against the stream's current value `values[id]` — one pass with the
+  /// end state, index dirty marks and touched marks of Deploy called per
+  /// entry in batch order.
+  static void DeployColumn(FilterArena* const* arenas, std::size_t num_arenas,
+                           std::size_t column, const DeployBatch& batch,
+                           const std::vector<Value>& values);
+
+  /// The index accounting of a redeploy of every stream's cell of
+  /// `column` that nothing will read — a retiring query's uninstall, whose
+  /// cells the Release right after discards: every stream's snapshot
+  /// entry for `column` is dirty-marked as Deploy would mark it, and no
+  /// cell is written.
+  void MarkColumnRedeployed(std::size_t column);
+
   /// Syncs cell (id, column)'s membership reference to the stream's
   /// current (probed) value, like Filter::SyncReference.
   void SyncReference(StreamId id, std::size_t column, Value current_value);
@@ -143,7 +168,8 @@ class FilterArena {
   /// reference exactly as per-cell Filter::OnValueChange would, and
   /// returns the fired bitmask — bit c of word w set iff column w*64+c
   /// must report the update. Exactly fired_words() words are meaningful;
-  /// bits at or beyond live() are never set. The returned pointer stays
+  /// bits at or beyond live() are never set (the tail word is masked to
+  /// the live prefix, whatever the dead lanes hold). The returned pointer stays
   /// valid until the next EvaluateUpdate call. Requires live() > 0 and
   /// finite `v`.
   const std::uint64_t* EvaluateUpdate(StreamId id, Value v);
@@ -237,17 +263,17 @@ class FilterArena {
 
  private:
   friend class IntervalIndex;
-  static std::size_t PaddedStride(std::size_t capacity) {
-    return (capacity + 63) & ~std::size_t{63};
+  /// Mask words per strip for `capacity` columns.
+  static std::size_t WordsFor(std::size_t capacity) {
+    return (capacity + 63) / 64;
   }
+  /// Lanes past the mask words' 64-column multiple: one cache line.
+  static constexpr std::size_t kStridePad = 64 / sizeof(double);
 
   /// Writes `constraint` into cell (id, column) with its membership
   /// reference taken against `current_value`.
   void WriteCell(StreamId id, std::size_t column,
                  const FilterConstraint& constraint, Value current_value);
-
-  /// Writes the never-fires sentinel into cell (id, column).
-  void SentinelCell(StreamId id, std::size_t column);
 
   /// Re-lays the lanes and bit words out at the stride of capacity_,
   /// carrying every live cell over.
@@ -278,8 +304,8 @@ class FilterArena {
   /// so the address stays valid).
   FilterArena* const self_ = this;
 
-  /// The cells, stride_ = PaddedStride(capacity_) lanes per stream,
-  /// words_ = stride_ / 64 mask words per stream.
+  /// The cells: words_ = WordsFor(capacity_) mask words and
+  /// stride_ = 64 * words_ + kStridePad lanes per stream.
   std::size_t stride_ = 0;
   std::size_t words_ = 0;
   std::vector<double> lower_;   ///< lower_[stream * stride_ + column]

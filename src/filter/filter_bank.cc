@@ -22,6 +22,17 @@ void FilterBank::Deploy(StreamId id, const FilterConstraint& constraint,
   mutable_at(id).Deploy(constraint, current_value);
 }
 
+void FilterBank::DeployColumn(const DeployBatch& batch,
+                              const std::vector<Value>& values) {
+  if (num_arenas_ != 0) {
+    FilterArena::DeployColumn(arenas_, num_arenas_, column_, batch, values);
+    return;
+  }
+  for (const StreamDeploy& d : batch) {
+    mutable_at(d.id).Deploy(d.constraint, values[d.id]);
+  }
+}
+
 void FilterBank::SyncReference(StreamId id, Value current_value) {
   if (num_arenas_ != 0) {
     arenas_[id % num_arenas_]->SyncReference(id / num_arenas_, column_,

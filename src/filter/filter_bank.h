@@ -97,6 +97,11 @@ class FilterBank {
   void Deploy(StreamId id, const FilterConstraint& constraint,
               Value current_value);
 
+  /// Installs every entry of `batch`, each against its stream's current
+  /// value `values[id]` — the same end state as Deploy per entry in batch
+  /// order, written in one pass over the view's column.
+  void DeployColumn(const DeployBatch& batch, const std::vector<Value>& values);
+
   /// Syncs one stream's membership reference to its current (probed)
   /// value: the probed value becomes the last-reported one.
   void SyncReference(StreamId id, Value current_value);

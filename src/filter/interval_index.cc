@@ -36,7 +36,7 @@ void IntervalIndex::OnDeploy(StreamId id, std::size_t column) {
   MarkDirty(streams_[id], column);
 }
 
-void IntervalIndex::OnAcquire(std::size_t column) {
+void IntervalIndex::OnColumnChanged(std::size_t column) {
   for (StreamState& state : streams_) MarkDirty(state, column);
 }
 

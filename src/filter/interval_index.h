@@ -31,8 +31,9 @@
 /// over a word-granular toggle scratch — O(log live + candidates) per
 /// dispatch with no O(live) term.
 ///
-/// Mutations (protocol bound tightening via Deploy, churn compaction via
-/// Release, deploy growth via Acquire) do not patch the sorted arrays.
+/// Mutations (protocol bound tightening via Deploy, column installs via
+/// DeployColumn, churn compaction via Release, deploy growth via Acquire)
+/// do not patch the sorted arrays.
 /// They mark the affected column *dirty*: dirty columns are excluded from
 /// the snapshot's answer and evaluated scalar per dispatch instead
 /// (FilterArena::EvaluateColumn), an overlay that stays exact under any
@@ -62,7 +63,7 @@ class FilterArena;
 
 /// The stabbing structure of one FilterArena. Owned by the arena, created
 /// on demand the first time a non-scan policy dispatches; fed mutation
-/// hooks from Deploy/Acquire/Release.
+/// hooks from Deploy/DeployColumn/Acquire/Release.
 class IntervalIndex {
  public:
   explicit IntervalIndex(FilterArena* arena);
@@ -84,9 +85,9 @@ class IntervalIndex {
   /// Cell (id, column)'s constraint changed (bound tightening / redeploy).
   void OnDeploy(StreamId id, std::size_t column);
 
-  /// `column` was freshly acquired (pristine no-filter tenant, every
-  /// stream).
-  void OnAcquire(std::size_t column);
+  /// Every stream's cell of `column` changed at once: a freshly acquired
+  /// (pristine no-filter) tenant, or a column-wide redeploy.
+  void OnColumnChanged(std::size_t column);
 
   /// Compaction moved the tenant of `vacated_last` into `hole` (no call
   /// when the released column was the last — the vacated lanes fall

@@ -400,7 +400,8 @@ std::string NetStats::ToString() const {
 }
 
 void NetworkModel::Bind(Scheduler* scheduler, UpdateSink on_update,
-                        DeploySink on_deploy) {
+                        DeploySink on_deploy,
+                        DeployBatchSink on_deploy_batch) {
   ASF_CHECK_MSG(scheduler_ == nullptr, "NetworkModel bound twice");
   ASF_CHECK(scheduler != nullptr);
   ASF_CHECK(on_update != nullptr);
@@ -408,6 +409,7 @@ void NetworkModel::Bind(Scheduler* scheduler, UpdateSink on_update,
   scheduler_ = scheduler;
   update_sink_ = std::move(on_update);
   deploy_sink_ = std::move(on_deploy);
+  deploy_batch_sink_ = std::move(on_deploy_batch);
   OnBind();
 }
 
@@ -454,6 +456,28 @@ class InlineDeliveryBase : public NetworkModel {
                            const FilterConstraint& constraint, SimTime now) {
     ++stats_.deploy_messages;
     deploy_sink_(slot, id, constraint, now);
+  }
+
+  /// Whether deploys take DeliverDeployInline. Models whose downlink
+  /// delays installs (or whose parameters make it delay) override this.
+  virtual bool DelaysDeploys() const { return false; }
+
+  /// A batch of inline deploys is one delivery: charged per entry, handed
+  /// to the engine in one call.
+  void SendDeployBatch(std::size_t slot, const DeployBatch& batch,
+                       SimTime now) final {
+    if (DelaysDeploys()) {
+      NetworkModel::SendDeployBatch(slot, batch, now);
+      return;
+    }
+    if (!deploy_batch_sink_) {
+      for (const StreamDeploy& d : batch) {
+        DeliverDeployInline(slot, d.id, d.constraint, now);
+      }
+      return;
+    }
+    stats_.deploy_messages += batch.size();
+    deploy_batch_sink_(slot, batch, now);
   }
 
   /// Enqueues one wire message of `payloads` from stream `id` for
@@ -551,6 +575,8 @@ class FixedLatencyNet final : public InlineDeliveryBase {
   }
 
  private:
+  bool DelaysDeploys() const override { return delayed_; }
+
   SimTime NextDelivery(std::vector<SimTime>* last, StreamId id, SimTime now) {
     SimTime at = now + latency_;
     if (jitter_ > 0) at += rng_.Uniform(0, jitter_);

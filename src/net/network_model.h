@@ -272,6 +272,10 @@ class NetworkModel {
   using DeploySink = std::function<void(std::size_t slot, StreamId id,
                                         const FilterConstraint& constraint,
                                         SimTime at)>;
+  /// A whole deploy batch arriving at once, inside the send: what the
+  /// deploy sink would see entry by entry, in batch order.
+  using DeployBatchSink = std::function<void(
+      std::size_t slot, const DeployBatch& batch, SimTime at)>;
   /// Partition-reconnect summary-vector exchange hook the engine binds:
   /// invoked once per up-edge, at that simulated time.
   using ReconcileSink = std::function<void(SimTime at)>;
@@ -296,8 +300,10 @@ class NetworkModel {
   /// Wires the model into an engine. `scheduler` is where delayed
   /// deliveries are scheduled (the serial engine's event loop, or the
   /// sharded coordinator's delivery queue). Must be called exactly once,
-  /// before any Send*.
-  void Bind(Scheduler* scheduler, UpdateSink on_update, DeploySink on_deploy);
+  /// before any Send*. `on_deploy_batch` is optional: without it, batches
+  /// delivered inline reach `on_deploy` entry by entry.
+  void Bind(Scheduler* scheduler, UpdateSink on_update, DeploySink on_deploy,
+            DeployBatchSink on_deploy_batch = nullptr);
 
   /// Binds the engine's reconnect-reconciliation handler. Only fault
   /// pipelines with a partition schedule ever invoke it; the base models
@@ -323,6 +329,17 @@ class NetworkModel {
   /// behalf of query `slot`.
   virtual void SendDeploy(std::size_t slot, StreamId id,
                           const FilterConstraint& constraint, SimTime now) = 0;
+
+  /// Control plane, server→source: `batch`'s installs on behalf of query
+  /// `slot`, sent in batch order at `now`. A model that delivers deploys
+  /// inline hands the whole batch to the deploy-batch sink in one call;
+  /// every other model sends it entry by entry, as SendDeploy would.
+  virtual void SendDeployBatch(std::size_t slot, const DeployBatch& batch,
+                               SimTime now) {
+    for (const StreamDeploy& d : batch) {
+      SendDeploy(slot, d.id, d.constraint, now);
+    }
+  }
 
   /// Control-plane request/response exchange (probe/region probe). Zero
   /// simulated time passes (DESIGN.md §9). Returns false when the fault
@@ -411,6 +428,7 @@ class NetworkModel {
   Scheduler* scheduler_ = nullptr;
   UpdateSink update_sink_;
   DeploySink deploy_sink_;
+  DeployBatchSink deploy_batch_sink_;
   NetStats stats_;
   /// Observability endpoints (see set_obs); null = off.
   obs::NetMetricsSink* obs_sink_ = nullptr;

@@ -39,6 +39,8 @@ const char* PhaseName(Phase phase) {
       return "net_flush";
     case Phase::kSpillIo:
       return "spill_io";
+    case Phase::kLifecycle:
+      return "lifecycle";
     case Phase::kNumPhases:
       break;
   }

@@ -12,8 +12,9 @@
 /// \file
 /// Phase profiler (DESIGN.md §14): RAII wall-clock scopes around the
 /// engine's coarse phases (dispatch, SIMD sweep, index rebuild,
-/// speculate, replay, net flush, spill I/O), accumulated in per-thread
-/// state and merged into one exclusive-time report at the end of a run.
+/// speculate, replay, net flush, spill I/O, query lifecycle), accumulated
+/// in per-thread state and merged into one exclusive-time report at the
+/// end of a run.
 ///
 /// Attribution is *exclusive*: entering a nested scope stops the clock
 /// on the parent, so the per-phase seconds sum to the profiled wall time
@@ -38,6 +39,8 @@ enum class Phase : std::uint8_t {
   kReplay,        ///< sharded merge/replay stage
   kNetFlush,      ///< network delivery callbacks draining into the engine
   kSpillIo,       ///< spill-log append / read-back I/O
+  kLifecycle,     ///< query install / retire (QueryHost::InstallSlot,
+                  ///< RetireSlot)
   kNumPhases,
 };
 

@@ -35,20 +35,24 @@ void FractionFilterCore::InstallFilters(const Interval& range,
                                     boundary_distance, rng_);
   // The selection lists are ordered most-boundary-prone first; Fix_Error
   // consumes from the back so the streams most likely to cross stay silent
-  // the longest.
+  // the longest. Every stream gets one install, sent as one batch: the
+  // silent filters first, then the range to everyone else in id order.
   std::vector<bool> silent(ctx_->num_streams(), false);
+  DeployBatch batch;
+  batch.reserve(ctx_->num_streams());
   for (StreamId id : fp_streams_) {
-    ctx_->Deploy(id, FilterConstraint::FalsePositive());
+    batch.push_back({id, FilterConstraint::FalsePositive()});
     silent[id] = true;
   }
   for (StreamId id : fn_streams_) {
-    ctx_->Deploy(id, FilterConstraint::FalseNegative());
+    batch.push_back({id, FilterConstraint::FalseNegative()});
     silent[id] = true;
   }
   const FilterConstraint range_filter = FilterConstraint::Range(range_);
   for (StreamId id = 0; id < ctx_->num_streams(); ++id) {
-    if (!silent[id]) ctx_->Deploy(id, range_filter);
+    if (!silent[id]) batch.push_back({id, range_filter});
   }
+  ctx_->DeployEach(batch);
 }
 
 void FractionFilterCore::OnRangeUpdate(StreamId id, Value v, SimTime t) {

@@ -27,31 +27,25 @@ std::string_view ReinitPolicyName(ReinitPolicy p) {
   return "unknown";
 }
 
-std::vector<StreamId> SelectFilterHolders(
-    const std::vector<StreamId>& candidates, std::size_t count,
-    SelectionHeuristic heuristic,
-    const std::function<double(StreamId)>& priority, Rng* rng) {
-  const std::size_t take = std::min(count, candidates.size());
-  if (heuristic == SelectionHeuristic::kRandom) {
-    ASF_CHECK(rng != nullptr);
-    std::vector<StreamId> picked = candidates;
-    rng->Shuffle(&picked);
-    picked.resize(take);
-    return picked;
-  }
-  ASF_CHECK(heuristic == SelectionHeuristic::kBoundaryNearest);
-  ASF_CHECK(priority != nullptr);
-  // Each priority is computed once. (priority, id) keys order totally, so
-  // selecting the `take` smallest and sorting only those yields exactly
-  // the first `take` of a full (priority, id) sort.
-  std::vector<std::pair<double, StreamId>> keyed;
-  keyed.reserve(candidates.size());
-  for (const StreamId id : candidates) keyed.emplace_back(priority(id), id);
-  const auto kept = keyed.begin() + static_cast<std::ptrdiff_t>(take);
-  std::nth_element(keyed.begin(), kept, keyed.end());
-  std::sort(keyed.begin(), kept);
+std::vector<StreamId> SelectRandomHolders(
+    const std::vector<StreamId>& candidates, std::size_t take, Rng* rng) {
+  ASF_CHECK(rng != nullptr);
+  std::vector<StreamId> picked = candidates;
+  rng->Shuffle(&picked);
+  picked.resize(take);
+  return picked;
+}
+
+std::vector<StreamId> SelectSmallestKeys(
+    std::vector<std::pair<double, StreamId>>* keyed, std::size_t take) {
+  // (priority, id) keys order totally, so selecting the `take` smallest
+  // and sorting only those yields exactly the first `take` of a full
+  // (priority, id) sort.
+  const auto kept = keyed->begin() + static_cast<std::ptrdiff_t>(take);
+  std::nth_element(keyed->begin(), kept, keyed->end());
+  std::sort(keyed->begin(), kept);
   std::vector<StreamId> picked(take);
-  for (std::size_t i = 0; i < take; ++i) picked[i] = keyed[i].second;
+  for (std::size_t i = 0; i < take; ++i) picked[i] = (*keyed)[i].second;
   return picked;
 }
 

@@ -39,6 +39,11 @@ struct Transport {
   /// Installs a filter constraint at the stream (one message). The stream
   /// resets its membership reference against its current value locally.
   std::function<void(StreamId, const FilterConstraint&)> deploy;
+
+  /// Installs a batch of constraints, as `deploy` per entry in batch
+  /// order, in one call. Optional: without it the context sends a batch
+  /// through `deploy` entry by entry.
+  std::function<void(const DeployBatch&)> deploy_batch;
 };
 
 /// How a server→all-streams transmission is charged (DESIGN.md §3). The
@@ -172,21 +177,30 @@ class ServerContext {
     transport_.deploy(id, constraint);
   }
 
-  /// Deploys the same constraint to every stream: n messages by default,
-  /// one under the broadcast model (DESIGN.md §3).
+  /// Deploys each entry of `batch` (one message each), in batch order, as
+  /// one batch on the wires.
+  void DeployEach(const DeployBatch& batch) {
+    stats_->Count(MessageType::kFilterDeploy, batch.size());
+    for (const StreamDeploy& d : batch) {
+      ASF_DCHECK(d.id < deployed_.size());
+      deployed_[d.id] = d.constraint;
+    }
+    SendBatch(batch);
+  }
+
+  /// Deploys the same constraint to every stream, in stream order, as one
+  /// batch: n messages by default, one under the broadcast model
+  /// (DESIGN.md §3).
   void DeployAll(const FilterConstraint& constraint) {
-    if (broadcast_ == BroadcastCostModel::kSingleMessage &&
-        !deployed_.empty()) {
-      stats_->Count(MessageType::kFilterDeploy);
-      for (StreamId id = 0; id < deployed_.size(); ++id) {
-        deployed_[id] = constraint;
-        transport_.deploy(id, constraint);
-      }
-      return;
-    }
+    const bool single = broadcast_ == BroadcastCostModel::kSingleMessage &&
+                        !deployed_.empty();
+    stats_->Count(MessageType::kFilterDeploy, single ? 1 : deployed_.size());
+    DeployBatch batch(deployed_.size(), StreamDeploy{0, constraint});
     for (StreamId id = 0; id < deployed_.size(); ++id) {
-      Deploy(id, constraint);
+      batch[id].id = id;
+      deployed_[id] = constraint;
     }
+    SendBatch(batch);
   }
 
   BroadcastCostModel broadcast_model() const { return broadcast_; }
@@ -208,6 +222,14 @@ class ServerContext {
   MessageStats* stats() { return stats_; }
 
  private:
+  void SendBatch(const DeployBatch& batch) {
+    if (transport_.deploy_batch) {
+      transport_.deploy_batch(batch);
+      return;
+    }
+    for (const StreamDeploy& d : batch) transport_.deploy(d.id, d.constraint);
+  }
+
   Transport transport_;
   MessageStats* stats_;
   BroadcastCostModel broadcast_;

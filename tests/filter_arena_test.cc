@@ -608,6 +608,175 @@ TEST(FilterArenaCellTest, RandomOpsMatchStandaloneFiltersThroughGrowth) {
   expect_all_cells("regrown");
 }
 
+/// S lockstep arenas over `n` streams (stream id -> arena id % S, row
+/// id / S), dispatching through the stabbing index and tracking touched
+/// cells, so every side effect of a deploy is observable.
+struct LockstepArenas {
+  LockstepArenas(std::size_t n, std::size_t s) {
+    for (std::size_t k = 0; k < s; ++k) {
+      arenas.push_back(
+          std::make_unique<FilterArena>(n / s + (k < n % s ? 1 : 0)));
+      arenas.back()->SetDispatchPolicy(DispatchPolicy::kIndex);
+      arenas.back()->EnableCellTracking(true);
+      ptrs.push_back(arenas.back().get());
+    }
+  }
+  FilterArena& of(StreamId id) { return *arenas[id % arenas.size()]; }
+  StreamId row(StreamId id) const {
+    return static_cast<StreamId>(id / arenas.size());
+  }
+  std::size_t Acquire() {
+    const std::size_t column = arenas[0]->Acquire();
+    for (std::size_t k = 1; k < arenas.size(); ++k) {
+      EXPECT_EQ(arenas[k]->Acquire(), column);
+    }
+    return column;
+  }
+  void Release(std::size_t column) {
+    for (const auto& arena : arenas) arena->Release(column);
+  }
+
+  std::vector<std::unique_ptr<FilterArena>> arenas;
+  std::vector<FilterArena*> ptrs;
+};
+
+/// One pass down a column — FilterArena::DeployColumn across S arenas —
+/// leaves exactly what a Deploy per entry in batch order leaves: the
+/// cells (lanes and bits, read back through cell()), the silent counts,
+/// the touched lists, and the index overlay, which shows in every later
+/// dispatch's fired set and in the rebuild schedule.
+TEST(FilterArenaColumnTest, DeployColumnMatchesPerCellDeploys) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("S=" + std::to_string(shards));
+    constexpr std::size_t kStreams = 50;
+    Rng rng(0xC01 + shards);
+    LockstepArenas cells(kStreams, shards);
+    LockstepArenas column(kStreams, shards);
+    std::vector<Value> values(kStreams);
+    for (Value& v : values) v = RandomValue(&rng);
+    std::vector<StreamId> order(kStreams);
+    for (StreamId id = 0; id < kStreams; ++id) order[id] = id;
+
+    for (int round = 0; round < 60; ++round) {
+      if (cells.arenas[0]->live() > 2 && rng.Bernoulli(0.3)) {
+        const auto victim = static_cast<std::size_t>(rng.UniformInt(
+            0, static_cast<std::int64_t>(cells.arenas[0]->live()) - 1));
+        cells.Release(victim);
+        column.Release(victim);
+      }
+      if (rng.Bernoulli(0.2)) {
+        for (const auto& arena : cells.arenas) arena->ClearTouched();
+        for (const auto& arena : column.arenas) arena->ClearTouched();
+      }
+      const std::size_t c = cells.Acquire();
+      ASSERT_EQ(column.Acquire(), c);
+      // A random subset of the streams in random order, with every
+      // constraint kind.
+      rng.Shuffle(&order);
+      DeployBatch batch;
+      const auto size = static_cast<std::size_t>(
+          rng.UniformInt(1, static_cast<std::int64_t>(kStreams)));
+      for (std::size_t i = 0; i < size; ++i) {
+        batch.push_back({order[i], RandomConstraint(&rng)});
+      }
+      for (const StreamDeploy& d : batch) {
+        cells.of(d.id).Deploy(cells.row(d.id), c, d.constraint,
+                              values[d.id]);
+      }
+      FilterArena::DeployColumn(column.ptrs.data(), shards, c, batch, values);
+
+      for (StreamId id = 0; id < kStreams; ++id) {
+        for (std::size_t k = 0; k < cells.arenas[0]->live(); ++k) {
+          ExpectSameFilter(column.of(id).cell(column.row(id), k),
+                           cells.of(id).cell(cells.row(id), k),
+                           "stream " + std::to_string(id) + " column " +
+                               std::to_string(k));
+        }
+      }
+      for (std::size_t s = 0; s < shards; ++s) {
+        const SilentFilterCounts want = cells.arenas[s]->CountSilent(c);
+        const SilentFilterCounts got = column.arenas[s]->CountSilent(c);
+        EXPECT_EQ(got.false_positive, want.false_positive);
+        EXPECT_EQ(got.false_negative, want.false_negative);
+        for (StreamId row = 0; row < cells.arenas[s]->num_streams(); ++row) {
+          EXPECT_EQ(column.arenas[s]->TouchedColumns(row),
+                    cells.arenas[s]->TouchedColumns(row));
+        }
+      }
+      // Dispatches through the index read the overlay both ways built.
+      for (int u = 0; u < 20; ++u) {
+        const auto id = static_cast<StreamId>(
+            rng.UniformInt(0, static_cast<std::int64_t>(kStreams) - 1));
+        values[id] = RandomValue(&rng);
+        std::vector<std::uint32_t> want;
+        std::vector<std::uint32_t> got;
+        cells.of(id).DispatchUpdate(cells.row(id), values[id], &want);
+        column.of(id).DispatchUpdate(column.row(id), values[id], &got);
+        ASSERT_EQ(got, want) << "round " << round << " stream " << id;
+      }
+    }
+    for (std::size_t s = 0; s < shards; ++s) {
+      const DispatchStats want = cells.arenas[s]->dispatch_stats();
+      const DispatchStats got = column.arenas[s]->dispatch_stats();
+      EXPECT_EQ(got.index_dispatches, want.index_dispatches);
+      EXPECT_EQ(got.index_rebuilds, want.index_rebuilds);
+      EXPECT_EQ(got.max_stream_rebuilds, want.max_stream_rebuilds);
+      EXPECT_GT(got.index_rebuilds, 0u);
+    }
+  }
+}
+
+/// MarkColumnRedeployed dirty-marks the index exactly as a column-wide
+/// Deploy does, without writing a cell: the rebuild schedule that follows
+/// is the same.
+TEST(FilterArenaColumnTest, MarkColumnRedeployedKeepsTheRebuildSchedule) {
+  constexpr std::size_t kStreams = 20;
+  Rng rng(0xC0D);
+  LockstepArenas deployed(kStreams, 1);
+  LockstepArenas marked(kStreams, 1);
+  std::vector<Value> values(kStreams);
+  for (Value& v : values) v = RandomValue(&rng);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t c = deployed.Acquire();
+    ASSERT_EQ(marked.Acquire(), c);
+    DeployBatch batch;
+    for (StreamId id = 0; id < kStreams; ++id) {
+      batch.push_back({id, RandomConstraint(&rng)});
+    }
+    FilterArena::DeployColumn(deployed.ptrs.data(), 1, c, batch, values);
+    FilterArena::DeployColumn(marked.ptrs.data(), 1, c, batch, values);
+    for (int u = 0; u < 30; ++u) {
+      const auto id = static_cast<StreamId>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kStreams) - 1));
+      values[id] = RandomValue(&rng);
+      std::vector<std::uint32_t> want;
+      std::vector<std::uint32_t> got;
+      deployed.arenas[0]->DispatchUpdate(id, values[id], &want);
+      marked.arenas[0]->DispatchUpdate(id, values[id], &got);
+      ASSERT_EQ(got, want);
+    }
+    if (deployed.arenas[0]->live() > 3) {
+      // A retirement: uninstall (written or only marked), then release.
+      const auto victim = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(deployed.arenas[0]->live()) - 1));
+      DeployBatch uninstall;
+      for (StreamId id = 0; id < kStreams; ++id) {
+        uninstall.push_back({id, FilterConstraint::NoFilter()});
+      }
+      FilterArena::DeployColumn(deployed.ptrs.data(), 1, victim, uninstall,
+                                values);
+      marked.arenas[0]->MarkColumnRedeployed(victim);
+      deployed.Release(victim);
+      marked.Release(victim);
+    }
+  }
+  const DispatchStats want = deployed.arenas[0]->dispatch_stats();
+  const DispatchStats got = marked.arenas[0]->dispatch_stats();
+  EXPECT_EQ(got.index_rebuilds, want.index_rebuilds);
+  EXPECT_EQ(got.max_stream_rebuilds, want.max_stream_rebuilds);
+  EXPECT_GT(got.index_rebuilds, 0u);
+}
+
 TEST(FilterArenaKernelTest, SimdBackendIsReported) {
   // The compiled backend is surfaced to benches and bench JSON; whatever
   // it is, its lane count must be consistent.

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "filter/constraint.h"
 #include "filter/dispatch.h"
+#include "filter/filter.h"
 #include "filter/filter_arena.h"
 
 /// Index-vs-scan parity: DispatchUpdate under kIndex / kAuto must produce
@@ -269,6 +270,91 @@ TEST(IntervalIndexTest, OverlayAbsorbsTighteningWithoutRebuildThrash) {
   EXPECT_LT(stats.index_rebuilds, 40u);
   EXPECT_GT(stats.index_rebuilds, 2u);
   twin.ExpectSameReferences();
+}
+
+/// Acquire and Release touch only bit words, so vacated columns keep
+/// their last tenant's lanes and a fresh tenant's no-filter cells sit on
+/// a former tenant's bounds. Through 1,200 lifecycles whose installs are
+/// mostly silent [-inf, inf] or wide ranges — stale lanes that would
+/// report any value — scan, index and a per-cell Filter model must agree
+/// on every fired set and silent count, and no column at or beyond
+/// live() may ever fire.
+TEST(IntervalIndexTest, StaleLanesBeyondLiveNeverFire) {
+  constexpr std::size_t kStreams = 6;
+  Rng rng(0xA5F0006);
+  FilterArena scan(kStreams);
+  FilterArena index(kStreams);
+  scan.SetDispatchPolicy(DispatchPolicy::kScan);
+  index.SetDispatchPolicy(DispatchPolicy::kIndex);
+  FilterArena* scan_set[] = {&scan};
+  FilterArena* index_set[] = {&index};
+  std::vector<std::vector<Filter>> model;  // [column][stream]
+  std::vector<Value> values(kStreams, 500.0);
+  const auto dispatch = [&](StreamId id, Value v) {
+    values[id] = v;
+    std::vector<std::uint32_t> want;
+    for (std::size_t c = 0; c < model.size(); ++c) {
+      if (model[c][id].OnValueChange(v)) {
+        want.push_back(static_cast<std::uint32_t>(c));
+      }
+    }
+    std::vector<std::uint32_t> from_scan;
+    std::vector<std::uint32_t> from_index;
+    scan.DispatchUpdate(id, v, &from_scan);
+    index.DispatchUpdate(id, v, &from_index);
+    ASSERT_EQ(from_scan, want) << "stream " << id << " value " << v;
+    ASSERT_EQ(from_index, want) << "stream " << id << " value " << v;
+    for (const std::uint32_t c : from_scan) ASSERT_LT(c, scan.live());
+  };
+  for (int cycle = 0; cycle < 1200; ++cycle) {
+    const std::size_t column = scan.Acquire();
+    ASSERT_EQ(index.Acquire(), column);
+    model.emplace_back(kStreams);
+    // A random subset of streams gets a filter; the rest stay no-filter
+    // over whatever lanes the column's last tenant left.
+    DeployBatch batch;
+    for (StreamId id = 0; id < kStreams; ++id) {
+      if (!rng.Bernoulli(0.6)) continue;
+      const int kind = static_cast<int>(rng.UniformInt(0, 3));
+      const FilterConstraint constraint =
+          kind == 0   ? FilterConstraint::FalsePositive()
+          : kind == 1 ? RangeConstraint(-100.0, 1100.0)
+                      : RandomConstraint(rng, values[id]);
+      batch.push_back({id, constraint});
+      model[column][id].Deploy(constraint, values[id]);
+    }
+    FilterArena::DeployColumn(scan_set, 1, column, batch, values);
+    FilterArena::DeployColumn(index_set, 1, column, batch, values);
+    for (std::size_t c = 0; c < model.size(); ++c) {
+      SilentFilterCounts want;
+      for (const Filter& f : model[c]) {
+        want.false_positive += f.constraint().IsFalsePositiveFilter();
+        want.false_negative += f.constraint().IsFalseNegativeFilter();
+      }
+      ASSERT_EQ(scan.CountSilent(c).false_positive, want.false_positive);
+      ASSERT_EQ(scan.CountSilent(c).false_negative, want.false_negative);
+    }
+    for (int u = 0; u < 3; ++u) {
+      const auto id = static_cast<StreamId>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kStreams) - 1));
+      dispatch(id, std::round(rng.Uniform(0.0, 1000.0)));
+    }
+    // Release down to a small population so most of the strip is dead
+    // columns holding stale lanes.
+    while (scan.live() > 0 &&
+           (scan.live() > 12 || rng.Bernoulli(0.4))) {
+      const auto victim = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(scan.live()) - 1));
+      ASSERT_EQ(index.Release(victim), scan.Release(victim));
+      model[victim] = std::move(model.back());
+      model.pop_back();
+    }
+    if (scan.live() > 0) {
+      const auto id = static_cast<StreamId>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kStreams) - 1));
+      dispatch(id, std::round(rng.Uniform(0.0, 1000.0)));
+    }
+  }
 }
 
 TEST(IntervalIndexTest, StatsReportPolicyAttribution) {
