@@ -242,6 +242,20 @@ class ObsSession {
   double metrics_every_ = 0;
 };
 
+/// The run's wall-clock readings, printed as standalone lines after the
+/// summary table, like the spill lines: as table rows they would size the
+/// table's columns, and two runs of one config would differ in padding.
+void PrintTimingLines(bool sharded, double replay_seconds, bool pinned,
+                      double wall_seconds) {
+  if (sharded) {
+    std::printf("replay seconds %.3f (%.1f%% of wall)%s\n", replay_seconds,
+                wall_seconds > 0 ? 100.0 * replay_seconds / wall_seconds
+                                 : 0.0,
+                pinned ? ", pinned" : "");
+  }
+  std::printf("wall seconds %.3f\n", wall_seconds);
+}
+
 Result<ProtocolKind> ParseProtocol(const std::string& name) {
   if (name == "no-filter") return ProtocolKind::kNoFilter;
   if (name == "zt-nrp") return ProtocolKind::kZtNrp;
@@ -372,17 +386,9 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   const obs::TelemetryBlock net_block =
       obs::NetTelemetryBlock(config.net, result.net, nullptr);
   net_block.AppendRows(&totals);
-  if (config.shards > 1) {
-    totals.AddRow(
-        {"replay seconds",
-         Fmt("%.3f (%.1f%% of wall)%s", result.replay_seconds,
-             result.wall_seconds > 0
-                 ? 100.0 * result.replay_seconds / result.wall_seconds
-                 : 0.0,
-             result.pinned ? ", pinned" : "")});
-  }
-  totals.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
   std::printf("%s", totals.ToString().c_str());
+  PrintTimingLines(config.shards > 1, result.replay_seconds, result.pinned,
+                   result.wall_seconds);
   const obs::TelemetryBlock spill_block = obs::SpillTelemetryBlock(result.spill);
   spill_block.PrintLines();
 
@@ -563,17 +569,9 @@ Status RunFromFlags(const Flags& flags) {
   const obs::TelemetryBlock net_block =
       obs::NetTelemetryBlock(config.net, result.net, &net_extras);
   net_block.AppendRows(&table);
-  if (config.shards > 1) {
-    table.AddRow(
-        {"replay seconds",
-         Fmt("%.3f (%.1f%% of wall)%s", result.replay_seconds,
-             result.wall_seconds > 0
-                 ? 100.0 * result.replay_seconds / result.wall_seconds
-                 : 0.0,
-             result.pinned ? ", pinned" : "")});
-  }
-  table.AddRow({"wall seconds", Fmt("%.3f", result.wall_seconds)});
   std::printf("%s", table.ToString().c_str());
+  PrintTimingLines(config.shards > 1, result.replay_seconds, result.pinned,
+                   result.wall_seconds);
   // Spill stats print as standalone "spill "-prefixed lines AFTER the
   // summary table — never as table rows. Extra rows would re-align the
   // table's column widths, and the byte-identity CI legs diff spill vs
