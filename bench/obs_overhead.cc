@@ -59,7 +59,7 @@ ObsRunStats RunOnce(std::size_t q_count, double duration,
   config.obs = hooks;
   for (std::size_t q = 0; q < q_count; ++q) {
     QueryDeployment dep;
-    dep.name = "q" + std::to_string(q);
+    dep.name = std::string("q").append(std::to_string(q));
     const double lo = 100.0 + 50.0 * static_cast<double>(q % 16);
     dep.query = QuerySpec::Range(lo, lo + 100.0);
     dep.protocol = ProtocolKind::kZtNrp;
@@ -120,7 +120,7 @@ int Main(int argc, char** argv) {
         (unsigned long long)enabled.trace_records,
         (unsigned long long)tracer.total_dropped());
 
-    const std::string tag = "q" + std::to_string(q);
+    const std::string tag = std::string("q").append(std::to_string(q));
     metrics.emplace_back("baseline_" + tag + "_updates_per_sec",
                          baseline.updates_per_sec);
     metrics.emplace_back("enabled_" + tag + "_updates_per_sec",

@@ -46,7 +46,7 @@ MultiQueryConfig GridConfig(std::size_t q_count, std::size_t shards,
   config.shards = shards;
   for (std::size_t q = 0; q < q_count; ++q) {
     QueryDeployment dep;
-    dep.name = "q" + std::to_string(q);
+    dep.name = std::string("q").append(std::to_string(q));
     const double lo = 100.0 + 50.0 * static_cast<double>(q % 16);
     dep.query = QuerySpec::Range(lo, lo + 100.0);
     dep.protocol = ProtocolKind::kZtNrp;

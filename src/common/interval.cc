@@ -19,7 +19,14 @@ std::string FormatEndpoint(Value v) {
 
 std::string Interval::ToString() const {
   if (empty_) return "[empty]";
-  return "[" + FormatEndpoint(lo_) + ", " + FormatEndpoint(hi_) + "]";
+  // Appended piece by piece: GCC 12 flags the temporaries of an
+  // operator+ chain with a spurious -Wrestrict.
+  std::string out = "[";
+  out += FormatEndpoint(lo_);
+  out += ", ";
+  out += FormatEndpoint(hi_);
+  out += ']';
+  return out;
 }
 
 }  // namespace asf

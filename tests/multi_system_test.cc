@@ -290,7 +290,8 @@ TEST(MultiSystemTest, TenQueriesScale) {
   MultiQueryConfig config = BaseConfig();
   for (int i = 0; i < 10; ++i) {
     config.queries.push_back(
-        RangeDep("q" + std::to_string(i), 100.0 * i, 100.0 * i + 150, 0.2));
+        RangeDep(std::string("q").append(std::to_string(i)), 100.0 * i,
+                 100.0 * i + 150, 0.2));
   }
   auto result = RunMultiQuerySystem(config);
   ASSERT_TRUE(result.ok());

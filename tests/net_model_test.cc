@@ -216,7 +216,9 @@ TEST(NetFifoTest, JitterNeverReordersALink) {
   ASSERT_EQ(arrivals.size(), 50u);
   for (int i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(arrivals[i].value, static_cast<Value>(i)) << i;
-    if (i > 0) EXPECT_GE(arrivals[i].at, arrivals[i - 1].at) << i;
+    if (i > 0) {
+      EXPECT_GE(arrivals[i].at, arrivals[i - 1].at) << i;
+    }
   }
   EXPECT_EQ(net->stats().update_messages, 50u);
 }

@@ -113,7 +113,7 @@ MultiQueryConfig ProtocolConfig(ProtocolKind protocol) {
                     protocol == ProtocolKind::kFtRp;
   for (int i = 0; i < 3; ++i) {
     QueryDeployment dep;
-    dep.name = "q" + std::to_string(i);
+    dep.name = std::string("q").append(std::to_string(i));
     if (rank) {
       dep.query = QuerySpec::Knn(4 + i, 300.0 + 150.0 * i);
     } else {
@@ -534,7 +534,7 @@ MultiQueryConfig OverlapConfig(ProtocolKind protocol) {
                     protocol == ProtocolKind::kFtRp;
   for (int i = 0; i < 6; ++i) {
     QueryDeployment dep;
-    dep.name = "q" + std::to_string(i);
+    dep.name = std::string("q").append(std::to_string(i));
     if (rank) {
       dep.query = QuerySpec::Knn(4 + i, 470.0 + 12.0 * i);
     } else {

@@ -130,7 +130,7 @@ TEST(SpillerTest, SpillAndFaultManyRecords) {
   std::vector<QueryRunStats> originals;
   for (int i = 0; i < kRecords; ++i) {
     QueryRunStats stats = SampleStats();
-    stats.name = "q" + std::to_string(i);
+    stats.name = std::string("q").append(std::to_string(i));
     stats.updates_reported = 1000 + i;
     stats.deployed_at = i * 1.5;
     originals.push_back(stats);

@@ -1,9 +1,11 @@
 /// bench_check — tolerance-aware comparison of two BENCH_*.json files.
 ///
-///   bench_check --baseline=BENCH_micro_dispatch.json \
-///               --current=build/BENCH_micro_dispatch.json \
-///               [--tolerance=0.25] [--keys=simd_speedup_q256,...] \
+///   bench_check --baseline=BENCH_micro_dispatch.json
+///               --current=build/BENCH_micro_dispatch.json
+///               [--tolerance=0.25] [--keys=simd_speedup_q256,...]
 ///               [--min-cores=N]
+///
+/// (one command line, wrapped here)
 ///
 /// Compares every metric key present in both files (or only --keys, when
 /// given). Throughput-like metrics (higher is better) regress when
