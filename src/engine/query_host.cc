@@ -453,7 +453,11 @@ void QueryHost::OnNetDeployBatch(std::size_t slot_index,
     for (const auto& arena : arenas_) arena->MarkColumnRedeployed(slot.column);
     return;
   }
-  if (!slot.live || options_.net.comp > 0) {
+  // Inline batches arrive inside InstallSlot, RetireSlot or a live
+  // query's reaction.
+  ASF_DCHECK(slot.live);
+  if (options_.net.comp > 0) {
+    // Compensated installs: each entry's band shrinks on its own way in.
     for (const StreamDeploy& d : batch) {
       OnNetDeploy(slot_index, d.id, d.constraint, at);
     }

@@ -466,14 +466,8 @@ class InlineDeliveryBase : public NetworkModel {
   /// to the engine in one call.
   void SendDeployBatch(std::size_t slot, const DeployBatch& batch,
                        SimTime now) final {
-    if (DelaysDeploys()) {
+    if (DelaysDeploys() || !deploy_batch_sink_) {
       NetworkModel::SendDeployBatch(slot, batch, now);
-      return;
-    }
-    if (!deploy_batch_sink_) {
-      for (const StreamDeploy& d : batch) {
-        DeliverDeployInline(slot, d.id, d.constraint, now);
-      }
       return;
     }
     stats_.deploy_messages += batch.size();
