@@ -51,7 +51,8 @@ void Run() {
       config.protocol = c.protocol;
       config.fraction = {c.eps, c.eps};
       config.rank_r = c.r;
-      config.broadcast_counts_as_one = (b == 1);
+      config.broadcast = b == 1 ? BroadcastCostModel::kSingleMessage
+                                : BroadcastCostModel::kPerRecipient;
       config.duration = 300 * bench::Scale();
       configs.push_back(config);
     }

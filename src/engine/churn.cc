@@ -86,8 +86,9 @@ Status ChurnSpec::Validate() const {
 Result<std::vector<QueryDeployment>> ExpandChurn(const ChurnSpec& spec,
                                                  SimTime duration) {
   ASF_RETURN_IF_ERROR(spec.Validate());
-  if (duration <= 0) {
-    return Status::InvalidArgument("churn expansion needs duration > 0");
+  if (!(duration > 0 && duration < kInf)) {
+    return Status::InvalidArgument(
+        "churn expansion needs a finite duration > 0");
   }
   if (spec.window_start >= duration) {
     return Status::InvalidArgument("churn window starts after the horizon");

@@ -79,51 +79,10 @@ Status SourceSpec::Validate() const {
   return Status::InvalidArgument("unknown source type");
 }
 
-Status SystemConfig::Validate() const {
-  ASF_RETURN_IF_ERROR(source.Validate());
-  ASF_RETURN_IF_ERROR(query.Validate());
-  if (duration <= 0) return Status::InvalidArgument("duration must be > 0");
-  if (query_start < 0 || query_start >= duration) {
-    return Status::InvalidArgument("query_start must lie in [0, duration)");
-  }
-  if (oracle.sample_interval < 0) {
-    return Status::InvalidArgument("oracle sample_interval must be >= 0");
-  }
+namespace {
 
-  const bool is_range = query.type == QuerySpec::Type::kRange;
-  switch (protocol) {
-    case ProtocolKind::kNoFilter:
-      break;  // supports both query classes
-    case ProtocolKind::kZtNrp:
-    case ProtocolKind::kFtNrp:
-      if (!is_range) {
-        return Status::InvalidArgument(
-            "ZT-NRP/FT-NRP handle range (non-rank-based) queries only");
-      }
-      break;
-    case ProtocolKind::kRtp:
-    case ProtocolKind::kZtRp:
-    case ProtocolKind::kFtRp:
-      if (is_range) {
-        return Status::InvalidArgument(
-            "RTP/ZT-RP/FT-RP handle rank-based queries only");
-      }
-      break;
-  }
-  if (query.type == QuerySpec::Type::kRank &&
-      query.k > source.NumStreams()) {
-    return Status::InvalidArgument(
-        "rank requirement k exceeds the stream population");
-  }
-  if (protocol == ProtocolKind::kFtNrp || protocol == ProtocolKind::kFtRp) {
-    ASF_RETURN_IF_ERROR(fraction.Validate());
-  }
-  ASF_RETURN_IF_ERROR(ValidateSharding(shards, source));
-  ASF_RETURN_IF_ERROR(net.Validate());
-  ASF_RETURN_IF_ERROR(spill.Validate());
-  return Status::OK();
-}
-
+/// The shard count must be >= 1 and, above 1, the source partitionable
+/// with a merge order that reproduces the serial one.
 Status ValidateSharding(std::size_t shards, const SourceSpec& source) {
   if (shards == 0) {
     return Status::InvalidArgument("shards must be >= 1");
@@ -152,6 +111,65 @@ Status ValidateSharding(std::size_t shards, const SourceSpec& source) {
     }
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status RunOptions::Validate() const {
+  ASF_RETURN_IF_ERROR(source.Validate());
+  // Written so NaN fails every test: a NaN or infinite time would sail
+  // through ordinary comparisons and abort (or never end) inside the
+  // engine.
+  if (!(duration > 0 && duration < kInf)) {
+    return Status::InvalidArgument("duration must be finite and > 0");
+  }
+  if (!(query_start >= 0 && query_start < duration)) {
+    return Status::InvalidArgument("query_start must lie in [0, duration)");
+  }
+  if (!(oracle.sample_interval >= 0)) {
+    return Status::InvalidArgument("oracle sample_interval must be >= 0");
+  }
+  ASF_RETURN_IF_ERROR(ValidateSharding(shards, source));
+  ASF_RETURN_IF_ERROR(net.Validate());
+  ASF_RETURN_IF_ERROR(spill.Validate());
+  return Status::OK();
+}
+
+Status QuerySetup::Validate(std::size_t num_streams) const {
+  ASF_RETURN_IF_ERROR(query.Validate());
+  const bool is_range = query.type == QuerySpec::Type::kRange;
+  switch (protocol) {
+    case ProtocolKind::kNoFilter:
+      break;  // supports both query classes
+    case ProtocolKind::kZtNrp:
+    case ProtocolKind::kFtNrp:
+      if (!is_range) {
+        return Status::InvalidArgument(
+            "ZT-NRP/FT-NRP handle range (non-rank-based) queries only");
+      }
+      break;
+    case ProtocolKind::kRtp:
+    case ProtocolKind::kZtRp:
+    case ProtocolKind::kFtRp:
+      if (is_range) {
+        return Status::InvalidArgument(
+            "RTP/ZT-RP/FT-RP handle rank-based queries only");
+      }
+      break;
+  }
+  if (query.type == QuerySpec::Type::kRank && query.k > num_streams) {
+    return Status::InvalidArgument(
+        "rank requirement k exceeds the stream population");
+  }
+  if (protocol == ProtocolKind::kFtNrp || protocol == ProtocolKind::kFtRp) {
+    ASF_RETURN_IF_ERROR(fraction.Validate());
+  }
+  return Status::OK();
+}
+
+Status SystemConfig::Validate() const {
+  ASF_RETURN_IF_ERROR(RunOptions::Validate());
+  return QuerySetup::Validate(source.NumStreams());
 }
 
 std::unique_ptr<StreamSet> MakeStreams(const SourceSpec& source,

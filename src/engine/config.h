@@ -2,7 +2,9 @@
 #define ASF_ENGINE_CONFIG_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "common/status.h"
@@ -12,14 +14,16 @@
 #include "net/network_model.h"
 #include "obs/hooks.h"
 #include "protocol/options.h"
+#include "protocol/server_context.h"
 #include "query/query.h"
 #include "stream/random_walk.h"
 #include "stream/trace_source.h"
 #include "tolerance/tolerance.h"
 
 /// \file
-/// Declarative configuration of one simulated run: workload + query +
-/// tolerance + protocol. A (config, seed) pair fully determines a run.
+/// Declarative configuration of a simulated run: the run-level settings
+/// (workload, horizon, seed, delivery, engine knobs) and the queries'
+/// protocol and tolerance. A (config, seed) pair fully determines a run.
 
 namespace asf {
 
@@ -142,39 +146,39 @@ struct OracleOptions {
   SimTime sample_interval = 0;
 };
 
-/// Full description of one run.
-struct SystemConfig {
-  SourceSpec source;
-  QuerySpec query;
-  ProtocolKind protocol = ProtocolKind::kNoFilter;
+/// Retire time of a query that lives to the end of the run.
+inline constexpr SimTime kNeverRetire =
+    std::numeric_limits<SimTime>::infinity();
 
-  /// Rank slack r for RTP (ε_k^r = k + r).
-  std::size_t rank_r = 0;
-  /// Fraction tolerances for FT-NRP / FT-RP.
-  FractionTolerance fraction;
-  FtOptions ft;
+/// The query-independent settings of a run, declared once: both run
+/// configurations (SystemConfig, MultiQueryConfig) derive from it, and
+/// both engines (SimulationCore, ShardedSimulationCore) take it as is.
+struct RunOptions {
+  SourceSpec source;
 
   /// Simulated run length; stream updates stop at this horizon.
   SimTime duration = 1000;
-  /// When the continuous query is installed. Updates before this warm the
-  /// stream values but generate no messages (no query exists yet).
+  /// When the continuous queries are installed (unless a deployment names
+  /// its own start). Updates before this warm the stream values but
+  /// generate no messages (no query exists yet).
   SimTime query_start = 0;
 
-  /// Seed for protocol-internal randomness (placement heuristics).
+  /// Seed for protocol-internal randomness (placement heuristics) and the
+  /// delivery model's fault draws.
   std::uint64_t seed = 1;
-
-  /// How server→all-streams transmissions are charged (DESIGN.md §3;
-  /// `bench/ablation_broadcast`).
-  bool broadcast_counts_as_one = false;
 
   OracleOptions oracle;
 
   /// Worker shards the stream population is partitioned across (id % S).
-  /// 1 runs the classic serial engine; >= 2 runs ShardedSimulationCore,
+  /// 1 runs the serial SimulationCore; >= 2 runs ShardedSimulationCore,
   /// whose results are byte-identical to the serial engine for any shard
   /// count (DESIGN.md §8). Requires a partitionable source (walk/trace).
   std::size_t shards = 1;
-  /// Pin the sharded engine's threads to cores (Linux; no-op elsewhere).
+  /// Pin the sharded engine's threads to cores (Linux; no-op elsewhere):
+  /// the coordinator to core 0, shard worker s to core s mod
+  /// hardware_concurrency. Worker 0 shares core 0 with the coordinator by
+  /// design — workers speculate only while the coordinator blocks, so the
+  /// two never compete.
   bool pin_threads = false;
 
   /// How messages travel between server and sources (DESIGN.md §9). The
@@ -201,11 +205,49 @@ struct SystemConfig {
   /// Provably inert — results are byte-identical either way.
   obs::ObsHooks obs;
 
+  /// The run-level checks: a valid source, a finite horizon with
+  /// query_start inside it, a non-negative oracle interval, a shard count
+  /// the source can be partitioned by, and valid net and spill settings.
   Status Validate() const;
 };
 
-/// Shared shard-count validation for SystemConfig / MultiQueryConfig.
-Status ValidateSharding(std::size_t shards, const SourceSpec& source);
+/// What one continuous query asks and how it is maintained: the query,
+/// its protocol and tolerance.
+struct QuerySetup {
+  QuerySpec query;
+  ProtocolKind protocol = ProtocolKind::kNoFilter;
+  /// Rank slack r for RTP (ε_k^r = k + r).
+  std::size_t rank_r = 0;
+  /// Fraction tolerances for FT-NRP / FT-RP.
+  FractionTolerance fraction;
+  FtOptions ft;
+  /// How server→all-streams transmissions of this query are charged
+  /// (DESIGN.md §3; `bench/ablation_broadcast`).
+  BroadcastCostModel broadcast = BroadcastCostModel::kPerRecipient;
+
+  /// Checks that the protocol can serve the query with its tolerance over
+  /// `num_streams` sources (query-class match, k ≤ n, tolerance bounds).
+  Status Validate(std::size_t num_streams) const;
+};
+
+/// One continuous query in a deployment, with its live window.
+struct QueryDeployment : QuerySetup {
+  std::string name;  ///< label used in results (must be unique per run)
+  /// When the query arrives: its Initialization phase runs at this
+  /// simulated time. Negative (the default) means "at the run's
+  /// query_start", the static-batch convention.
+  SimTime start = -1;
+  /// When the query leaves: its filters are uninstalled and it stops
+  /// being served / judged. kNeverRetire (the default) means it lives to
+  /// the horizon.
+  SimTime end = kNeverRetire;
+};
+
+/// A run of one continuous query, live for the whole run from
+/// query_start — a deployment of exactly one (RunSystem).
+struct SystemConfig : RunOptions, QuerySetup {
+  Status Validate() const;
+};
 
 /// Builds the stream set `source` describes, driving only the streams
 /// `partition` owns (sources guarantee identical per-stream trajectories

@@ -9,40 +9,6 @@
 
 namespace asf {
 
-Status ValidateDeployment(const QuerySpec& query, ProtocolKind protocol,
-                          const FractionTolerance& fraction,
-                          std::size_t num_streams) {
-  ASF_RETURN_IF_ERROR(query.Validate());
-  const bool is_range = query.type == QuerySpec::Type::kRange;
-  switch (protocol) {
-    case ProtocolKind::kNoFilter:
-      break;  // supports both query classes
-    case ProtocolKind::kZtNrp:
-    case ProtocolKind::kFtNrp:
-      if (!is_range) {
-        return Status::InvalidArgument(
-            "ZT-NRP/FT-NRP handle range (non-rank-based) queries only");
-      }
-      break;
-    case ProtocolKind::kRtp:
-    case ProtocolKind::kZtRp:
-    case ProtocolKind::kFtRp:
-      if (is_range) {
-        return Status::InvalidArgument(
-            "RTP/ZT-RP/FT-RP handle rank-based queries only");
-      }
-      break;
-  }
-  if (query.type == QuerySpec::Type::kRank && query.k > num_streams) {
-    return Status::InvalidArgument(
-        "rank requirement k exceeds the stream population");
-  }
-  if (protocol == ProtocolKind::kFtNrp || protocol == ProtocolKind::kFtRp) {
-    ASF_RETURN_IF_ERROR(fraction.Validate());
-  }
-  return Status::OK();
-}
-
 std::unique_ptr<Protocol> MakeProtocol(const QuerySpec& query,
                                        ProtocolKind protocol,
                                        std::size_t rank_r,

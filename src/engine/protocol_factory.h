@@ -10,19 +10,13 @@
 #include "tolerance/oracle.h"
 
 /// \file
-/// Shared protocol construction and answer judging for the single-query
-/// (engine/system.cc) and multi-query (engine/multi_system.cc) runners.
+/// Protocol construction and answer judging for the query host
+/// (engine/query_host.cc).
 
 namespace asf {
 
-/// Checks that `protocol` can serve `query` with the given tolerance over
-/// `num_streams` sources (query-class match, k ≤ n, tolerance bounds).
-Status ValidateDeployment(const QuerySpec& query, ProtocolKind protocol,
-                          const FractionTolerance& fraction,
-                          std::size_t num_streams);
-
 /// Builds the protocol. `ctx` and `rng` must outlive it. The deployment
-/// must have passed ValidateDeployment.
+/// must have passed QuerySetup::Validate.
 std::unique_ptr<Protocol> MakeProtocol(const QuerySpec& query,
                                        ProtocolKind protocol,
                                        std::size_t rank_r,

@@ -21,8 +21,7 @@ inline void AssertViewFresh(const FilterBank& bank, const FilterArena& arena) {
 }
 }  // namespace
 
-QueryHost::QueryHost(const SimulationCore::Options& options,
-                     const Binding& binding)
+QueryHost::QueryHost(const RunOptions& options, const Binding& binding)
     : options_(options), values_(binding.values), now_(binding.clock),
       events_(binding.events), ring_(binding.trace_ring),
       wall_start_(binding.wall_start) {
@@ -588,6 +587,20 @@ DispatchStats QueryHost::dispatch_stats() const {
   DispatchStats stats;
   for (const auto& arena : arenas_) stats += arena->dispatch_stats();
   return stats;
+}
+
+RunTotals QueryHost::totals() const {
+  RunTotals totals;
+  totals.updates_generated = updates_generated_;
+  totals.physical_updates = physical_updates_;
+  totals.peak_live_queries = peak_live_;
+  totals.net = net_->stats();
+  totals.dispatch_policy = arenas_.front()->dispatch_policy();
+  totals.dispatch = dispatch_stats();
+  totals.wall_seconds = wall_seconds_;
+  totals.replay_seconds = replay_seconds_;
+  totals.spill = spill_telemetry();
+  return totals;
 }
 
 }  // namespace engine_internal

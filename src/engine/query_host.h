@@ -109,7 +109,7 @@ class QueryHost {
     std::chrono::steady_clock::time_point wall_start;
   };
 
-  QueryHost(const SimulationCore::Options& options, const Binding& binding);
+  QueryHost(const RunOptions& options, const Binding& binding);
   QueryHost(const QueryHost&) = delete;
   QueryHost& operator=(const QueryHost&) = delete;
   ~QueryHost();
@@ -182,13 +182,11 @@ class QueryHost {
   std::uint64_t physical_updates() const { return physical_updates_; }
   std::size_t peak_live_queries() const { return peak_live_; }
   const NetStats& net_stats() const { return net_->stats(); }
-  DispatchPolicy dispatch_policy() const {
-    return arenas_.front()->dispatch_policy();
-  }
   /// Dispatch accounting summed over the arena set.
   DispatchStats dispatch_stats() const;
   double wall_seconds() const { return wall_seconds_; }
-  double replay_seconds() const { return replay_seconds_; }
+  /// The run-level outcome (RunTotals::pinned is the engine's to set).
+  RunTotals totals() const;
   /// Adds wall time an engine spent in its replay stage.
   void add_replay_seconds(double s) { replay_seconds_ += s; }
 
@@ -245,7 +243,7 @@ class QueryHost {
   /// freed members.
   void SpillRetired(Slot& slot);
 
-  const SimulationCore::Options& options_;
+  const RunOptions& options_;
   const std::vector<Value>& values_;
   const SimTime& now_;
   Scheduler& events_;

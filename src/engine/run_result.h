@@ -5,24 +5,24 @@
 #include <string>
 
 #include "common/stats.h"
+#include "common/types.h"
 #include "engine/spill_config.h"
 #include "filter/dispatch.h"
 #include "net/message_stats.h"
 #include "net/network_model.h"
 
 /// \file
-/// Everything one simulated run reports back.
+/// Everything a simulated run reports back: one QueryRunStats per deployed
+/// query plus the run-level RunTotals.
 
 namespace asf {
 
-/// Aggregated outcome of a run.
-struct RunResult {
-  /// Per-type, per-phase message counts. `messages.MaintenanceTotal()` is
-  /// the paper's headline metric.
+/// Outcome of one deployed query, accumulated inside its live window.
+struct QueryRunStats {
+  std::string name;
+  /// Per-type, per-phase logical messages attributed to this query.
+  /// `messages.MaintenanceTotal()` is the paper's headline metric.
   MessageStats messages;
-
-  /// Value changes generated while the query was live.
-  std::uint64_t updates_generated = 0;
   /// Updates that crossed a filter and reached the server.
   std::uint64_t updates_reported = 0;
   /// Full protocol re-initializations after query start.
@@ -46,19 +46,41 @@ struct RunResult {
 
   // --- Delivery observations (DESIGN.md §9; all trivial under the
   // default instant model) ---
-  /// Violations observed while update payloads were still in transit —
-  /// the staleness share of oracle_violations.
+  /// Violations the oracle observed while at least one update payload for
+  /// this query was still in transit — the share of errors attributable
+  /// to delivery delay rather than filter slack. Always a subset of
+  /// oracle_violations; zero under instant delivery.
   std::uint64_t oracle_violations_in_flight = 0;
-  /// Staleness of delivered updates (delivery − crossing time); empty
-  /// under instant delivery.
+  /// Staleness of this query's delivered updates (delivery time minus
+  /// crossing time, one sample each). Empty under instant delivery.
   OnlineStats update_delay;
-  /// Run-level network accounting (wire messages, coalescing, drops).
+
+  /// The live window [deployed_at, retired_at]: Initialization ran at
+  /// deployed_at; retired_at is the retire event's time, or the run
+  /// horizon for queries that never retired.
+  SimTime deployed_at = 0;
+  SimTime retired_at = 0;
+};
+
+/// Run-level outcome, whatever the queries.
+struct RunTotals {
+  /// Value changes generated while at least one query was live.
+  std::uint64_t updates_generated = 0;
+  /// Update messages actually transmitted: a value change that crossed
+  /// the filters of several queries at once costs one physical message
+  /// (each affected query still accounts a logical update).
+  std::uint64_t physical_updates = 0;
+  /// Highest number of simultaneously live queries during the run.
+  std::size_t peak_live_queries = 0;
+
+  /// Network delivery accounting (wire messages, coalescing, drops;
+  /// DESIGN.md §9).
   NetStats net;
 
   /// The dispatch policy the engine actually executed (after the
   /// ASF_DISPATCH resolution) and its path accounting (DESIGN.md §10).
-  /// Purely performance telemetry: the results above are byte-identical
-  /// under every policy.
+  /// Purely performance telemetry: the results are byte-identical under
+  /// every policy.
   DispatchPolicy dispatch_policy = DispatchPolicy::kScan;
   DispatchStats dispatch;
 
@@ -71,10 +93,14 @@ struct RunResult {
   bool pinned = false;
 
   /// Out-of-core spill accounting (DESIGN.md §13); all zero when
-  /// config.spill is off. Telemetry only — results are byte-identical
-  /// with and without spilling.
+  /// spilling is off. Telemetry only — results are byte-identical with
+  /// and without spilling.
   SpillTelemetry spill;
+};
 
+/// Outcome of a single-query run (RunSystem): the query's stats plus the
+/// run totals.
+struct RunResult : QueryRunStats, RunTotals {
   /// The paper's metric.
   std::uint64_t MaintenanceMessages() const {
     return messages.MaintenanceTotal();

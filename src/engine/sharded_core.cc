@@ -16,26 +16,26 @@
 namespace asf {
 
 namespace {
-std::size_t ShardCount(const ShardedSimulationCore::Options& options) {
+std::size_t ShardCount(const RunOptions& options) {
   return std::max<std::size_t>(1, options.shards);
 }
 }  // namespace
 
 // Shard worker s writes trace ring s; the host (the coordinator) writes
 // ring S.
-ShardedSimulationCore::ShardedSimulationCore(const Options& options)
+ShardedSimulationCore::ShardedSimulationCore(const RunOptions& options)
     : wall_start_(std::chrono::steady_clock::now()), options_(options),
-      host_(options_.base,
+      host_(options_,
             engine_internal::QueryHost::Binding{
                 values_, coord_now_, net_scheduler_, ShardCount(options_),
                 static_cast<std::uint16_t>(ShardCount(options_)),
                 wall_start_}) {
-  ASF_CHECK_MSG(options_.base.source.type != SourceSpec::Type::kCustom,
+  ASF_CHECK_MSG(options_.source.type != SourceSpec::Type::kCustom,
                 "custom stream sources cannot be sharded");
   // The coordinator's merged value view starts from the sources' initial
   // values. Per-stream determinism makes one full (unstarted) instance an
   // exact stand-in for all shards' initial state.
-  values_ = MakeStreams(options_.base.source)->values();
+  values_ = MakeStreams(options_.source)->values();
 
   // Shard s owns streams {s, s + S, s + 2S, ...} and arena s of the
   // host's lockstep set, which records the cells each mutation touches
@@ -43,7 +43,7 @@ ShardedSimulationCore::ShardedSimulationCore(const Options& options)
   const std::size_t num_shards = host_.num_arenas();
   for (std::size_t s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(
-        MakeStreams(options_.base.source, StreamPartition{s, num_shards}),
+        MakeStreams(options_.source, StreamPartition{s, num_shards}),
         host_.arena(s)));
     shards_.back()->arena.EnableCellTracking(true);
   }
@@ -193,7 +193,7 @@ void ShardedSimulationCore::WorkerLoop(std::size_t shard_index) {
     {
       // Each worker's speculation wall accrues to the sweep phase in its
       // own thread-local profiler state; Merged() folds them together.
-      obs::ScopedPhase obs_phase(options_.base.obs.profiler,
+      obs::ScopedPhase obs_phase(options_.obs.profiler,
                                  obs::Phase::kSweep);
       if (final_flush) {
         shard.scheduler.RunUntil(to);  // events at the horizon itself
@@ -222,7 +222,7 @@ void ShardedSimulationCore::SpeculateEpoch(SimTime to) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     speculate_to_ = to;
-    final_flush_ = to >= options_.base.duration;
+    final_flush_ = to >= options_.duration;
     workers_done_ = 0;
     ++epoch_seq_;
   }
@@ -235,18 +235,18 @@ void ShardedSimulationCore::SpeculateEpoch(SimTime to) {
 
 void ShardedSimulationCore::Run() {
   host_.BeginRun();
-  const SimTime duration = options_.base.duration;
+  const SimTime duration = options_.duration;
 
   // Root profiler scope on the coordinator: epoch orchestration and
   // everything no finer phase claims accrues to kOther (worker threads
   // report their speculation wall separately under kSweep).
-  obs::ScopedPhase obs_root(options_.base.obs.profiler, obs::Phase::kOther);
+  obs::ScopedPhase obs_root(options_.obs.profiler, obs::Phase::kOther);
 
   // Gauge snapshots: the sharded engine drains due grid points at each
   // epoch barrier (hooks.h), so a sample at T reflects the merged state of
   // the barrier that covers T.
-  obs::MetricsRegistry* const obs_reg = options_.base.obs.metrics;
-  const SimTime obs_every = options_.base.obs.metrics_every;
+  obs::MetricsRegistry* const obs_reg = options_.obs.metrics;
+  const SimTime obs_every = options_.obs.metrics_every;
   SimTime obs_next_snap = obs_every;
   const auto obs_drain_snapshots = [&](SimTime upto) {
     if (obs_reg == nullptr || obs_every <= 0) return;
@@ -269,7 +269,7 @@ void ShardedSimulationCore::Run() {
                                static_cast<std::uint32_t>(shard->fired.size()),
                                0};
           if (epoch_live_ > 0) {
-            ASF_TRACE_EVENT(options_.base.obs.tracer, ring,
+            ASF_TRACE_EVENT(options_.obs.tracer, ring,
                             obs::TraceEventType::kValueUpdate, t, id, v, 0);
             // The configured dispatch policy (SIMD scan or stabbing
             // index) speculates under the epoch-start filter state.
@@ -278,10 +278,10 @@ void ShardedSimulationCore::Run() {
             update.fired_count =
                 static_cast<std::uint32_t>(shard->fired_scratch.size());
 #if ASF_OBS_TRACE_COMPILED
-            if (options_.base.obs.tracer != nullptr &&
-                options_.base.obs.tracer->Wants(obs::kCatCrossing)) {
+            if (options_.obs.tracer != nullptr &&
+                options_.obs.tracer->Wants(obs::kCatCrossing)) {
               for (const std::uint32_t c : shard->fired_scratch) {
-                options_.base.obs.tracer->Emit(
+                options_.obs.tracer->Emit(
                     ring, obs::TraceEventType::kCrossing, t, c, v,
                     shard->fired_scratch.size());
               }
@@ -326,7 +326,7 @@ void ShardedSimulationCore::Run() {
     // deployment first, then every retirement, each in slot order.
     coord_now_ = now;
     obs_drain_snapshots(now);
-    ASF_TRACE_EVENT(options_.base.obs.tracer,
+    ASF_TRACE_EVENT(options_.obs.tracer,
                     static_cast<std::uint16_t>(shards_.size()),
                     obs::TraceEventType::kEpochBarrier, now, 0, 0, obs_epoch);
     ++obs_epoch;
@@ -352,13 +352,13 @@ void ShardedSimulationCore::Run() {
     ASF_CHECK(next > now);
 
     {
-      obs::ScopedPhase obs_phase(options_.base.obs.profiler,
+      obs::ScopedPhase obs_phase(options_.obs.profiler,
                                  obs::Phase::kSpeculate);
       SpeculateEpoch(next);
     }
     const auto replay_start = std::chrono::steady_clock::now();
     {
-      obs::ScopedPhase obs_phase(options_.base.obs.profiler,
+      obs::ScopedPhase obs_phase(options_.obs.profiler,
                                  obs::Phase::kReplay);
       ReplayEpoch(next);
     }
@@ -376,7 +376,7 @@ void ShardedSimulationCore::Run() {
   const auto drain_start = std::chrono::steady_clock::now();
   obs_drain_snapshots(duration);
   {
-    obs::ScopedPhase obs_phase(options_.base.obs.profiler,
+    obs::ScopedPhase obs_phase(options_.obs.profiler,
                                obs::Phase::kReplay);
     DrainDeliveries(duration, kInf);
   }

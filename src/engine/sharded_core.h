@@ -69,22 +69,10 @@ class ShardedSimulationCore {
   /// Lifecycle event times always become additional epoch boundaries.
   static constexpr SimTime kEpochsPerRun = 128;
 
-  struct Options {
-    /// The query-independent run configuration (source must be a
-    /// partitionable walk/trace — custom sources cannot be sharded).
-    SimulationCore::Options base;
-    /// Worker shards (>= 1). 1 exercises the full epoch machinery on a
-    /// single shard.
-    std::size_t shards = 1;
-    /// Pin threads to cores (Linux; best-effort no-op elsewhere): the
-    /// coordinator to core 0, shard worker s to core s mod
-    /// hardware_concurrency. Worker 0 shares core 0 with the coordinator
-    /// by design — workers speculate only while the coordinator blocks,
-    /// so the two never compete.
-    bool pin_threads = false;
-  };
-
-  explicit ShardedSimulationCore(const Options& options);
+  /// `options.source` must be a partitionable walk/trace (custom sources
+  /// cannot be sharded); `options.shards` (>= 1) workers run it — 1
+  /// exercises the full epoch machinery on a single shard.
+  explicit ShardedSimulationCore(const RunOptions& options);
   ShardedSimulationCore(const ShardedSimulationCore&) = delete;
   ShardedSimulationCore& operator=(const ShardedSimulationCore&) = delete;
   ~ShardedSimulationCore();
@@ -105,28 +93,15 @@ class ShardedSimulationCore {
   const QueryRunStats& query_stats(std::size_t i) const {
     return host_.query_stats(i);
   }
-  /// Out-of-core spill accounting; all zero when base.spill is off.
-  SpillTelemetry spill_telemetry() const { return host_.spill_telemetry(); }
-  std::uint64_t updates_generated() const {
-    return host_.updates_generated();
+  /// Same contract as SimulationCore::totals; replay_seconds is the wall
+  /// time spent in the replay stage (merge, reactions, delivery drains) —
+  /// the serial fraction the Amdahl curve is gated by — and the dispatch
+  /// accounting is summed over all shard arenas.
+  RunTotals totals() const {
+    RunTotals totals = host_.totals();
+    totals.pinned = pinned_;
+    return totals;
   }
-  std::uint64_t physical_updates() const { return host_.physical_updates(); }
-  std::size_t peak_live_queries() const { return host_.peak_live_queries(); }
-  const NetStats& net_stats() const { return host_.net_stats(); }
-  double wall_seconds() const { return host_.wall_seconds(); }
-  std::size_t shards() const { return shards_.size(); }
-
-  /// Wall-clock seconds spent in the replay stage (merge, reactions,
-  /// delivery drains) — the serial fraction the Amdahl curve is gated by.
-  double replay_seconds() const { return host_.replay_seconds(); }
-  /// Whether the coordinator was successfully pinned to a core.
-  bool pinned() const { return pinned_; }
-
-  /// The dispatch policy the run actually executed (after the
-  /// ASF_DISPATCH resolution) and its accounting summed over all shard
-  /// arenas.
-  DispatchPolicy dispatch_policy() const { return host_.dispatch_policy(); }
-  DispatchStats dispatch_stats() const { return host_.dispatch_stats(); }
 
  private:
   /// One stream shard: its slice of the sources, its own event loop, and
@@ -185,7 +160,7 @@ class ShardedSimulationCore {
   void WorkerLoop(std::size_t shard_index);
 
   const std::chrono::steady_clock::time_point wall_start_;
-  Options options_;
+  RunOptions options_;
   /// The coordinator's authoritative view of every stream's current value,
   /// advanced in merge order during replay — exactly the serial engine's
   /// StreamSet values. Probes and the oracle read this.
@@ -221,30 +196,6 @@ class ShardedSimulationCore {
   /// replayed (ascending; see FilterArena::EvaluateTouched).
   std::vector<std::uint32_t> touched_fired_;
 };
-
-/// Runs `run(core)` on the engine a run config (SystemConfig or
-/// MultiQueryConfig) asks for — the sharded engine when config.shards > 1,
-/// the serial one otherwise — and returns what `run` returns. The one
-/// place a run config becomes engine options.
-template <typename Config, typename Run>
-auto RunOnEngine(const Config& config, Run&& run) {
-  SimulationCore::Options options;
-  options.source = config.source;
-  options.duration = config.duration;
-  options.query_start = config.query_start;
-  options.seed = config.seed;
-  options.oracle = config.oracle;
-  options.net = config.net;
-  options.dispatch = config.dispatch;
-  options.spill = config.spill;
-  options.obs = config.obs;
-  if (config.shards > 1) {
-    ShardedSimulationCore core({options, config.shards, config.pin_threads});
-    return run(core);
-  }
-  SimulationCore core(options);
-  return run(core);
-}
 
 }  // namespace asf
 

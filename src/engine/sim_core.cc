@@ -191,6 +191,8 @@ SpillTelemetry SimulationCore::spill_telemetry() const {
   return host_->spill_telemetry();
 }
 
+RunTotals SimulationCore::totals() const { return host_->totals(); }
+
 std::uint64_t SimulationCore::updates_generated() const {
   return host_->updates_generated();
 }
@@ -205,10 +207,6 @@ std::size_t SimulationCore::peak_live_queries() const {
 
 const NetStats& SimulationCore::net_stats() const {
   return host_->net_stats();
-}
-
-DispatchPolicy SimulationCore::dispatch_policy() const {
-  return host_->dispatch_policy();
 }
 
 DispatchStats SimulationCore::dispatch_stats() const {

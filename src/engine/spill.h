@@ -16,7 +16,7 @@
 /// per-query trace) never change again. With spilling enabled the engine
 /// appends that cold record to an unlinked scratch log, drops the
 /// in-memory copies, and reads the record back only when someone asks
-/// (result flattening, the churn table) — each record is written once and
+/// (result assembly, the churn table) — each record is written once and
 /// read once, so the log needs no cache. The FilterArena and every live
 /// slot stay 100% hot: only closed books ever touch disk, which is the
 /// whole determinism argument — a spilled run and an in-memory run

@@ -8,9 +8,8 @@
 
 /// \file
 /// Configuration and telemetry of the out-of-core query-state spill path
-/// (DESIGN.md §13). Kept free of engine dependencies so SystemConfig,
-/// MultiQueryConfig and SimulationCore::Options can all embed it; the
-/// machinery itself lives in engine/spill.h.
+/// (DESIGN.md §13). Kept free of engine dependencies so RunOptions and
+/// RunTotals can embed it; the machinery itself lives in engine/spill.h.
 
 namespace asf {
 

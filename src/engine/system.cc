@@ -1,61 +1,22 @@
 #include "engine/system.h"
 
-#include "engine/sharded_core.h"
+#include <utility>
+
+#include "engine/multi_system.h"
 
 namespace asf {
 
-namespace {
-
-/// Deploys the one query, runs the core, and flattens into RunResult —
-/// shared verbatim between the serial and sharded engines.
-template <typename Core>
-RunResult RunAndFlatten(Core& core, const QueryDeployment& deployment) {
-  core.AddQuery(deployment);
-  core.Run();
-
-  const QueryRunStats& stats = core.query_stats(0);
-  RunResult result;
-  result.messages = stats.messages;
-  result.updates_generated = core.updates_generated();
-  result.updates_reported = stats.updates_reported;
-  result.reinits = stats.reinits;
-  result.fp_filters_installed = stats.fp_filters_installed;
-  result.fn_filters_installed = stats.fn_filters_installed;
-  result.answer_size = stats.answer_size;
-  result.oracle_checks = stats.oracle_checks;
-  result.oracle_violations = stats.oracle_violations;
-  result.max_f_plus = stats.max_f_plus;
-  result.max_f_minus = stats.max_f_minus;
-  result.max_worst_rank = stats.max_worst_rank;
-  result.oracle_violations_in_flight = stats.oracle_violations_in_flight;
-  result.update_delay = stats.update_delay;
-  result.net = core.net_stats();
-  result.dispatch_policy = core.dispatch_policy();
-  result.dispatch = core.dispatch_stats();
-  result.wall_seconds = core.wall_seconds();
-  result.replay_seconds = core.replay_seconds();
-  result.pinned = core.pinned();
-  result.spill = core.spill_telemetry();
-  return result;
-}
-
-}  // namespace
-
 Result<RunResult> RunSystem(const SystemConfig& config) {
-  ASF_RETURN_IF_ERROR(config.Validate());
-
-  QueryDeployment deployment;
-  deployment.query = config.query;
-  deployment.protocol = config.protocol;
-  deployment.rank_r = config.rank_r;
-  deployment.fraction = config.fraction;
-  deployment.ft = config.ft;
-  deployment.broadcast = config.broadcast_counts_as_one
-                             ? BroadcastCostModel::kSingleMessage
-                             : BroadcastCostModel::kPerRecipient;
-  return RunOnEngine(config, [&deployment](auto& core) {
-    return RunAndFlatten(core, deployment);
-  });
+  MultiQueryConfig multi;
+  static_cast<RunOptions&>(multi) = config;
+  QueryDeployment& deployment = multi.queries.emplace_back();
+  static_cast<QuerySetup&>(deployment) = config;
+  deployment.name = "query";
+  ASF_ASSIGN_OR_RETURN(MultiQueryResult run, RunMultiQuerySystem(multi));
+  RunResult result;
+  static_cast<QueryRunStats&>(result) = std::move(run.queries.front());
+  static_cast<RunTotals&>(result) = std::move(run);
+  return result;
 }
 
 }  // namespace asf

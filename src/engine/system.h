@@ -1,8 +1,6 @@
 #ifndef ASF_ENGINE_SYSTEM_H_
 #define ASF_ENGINE_SYSTEM_H_
 
-#include <memory>
-
 #include "common/result.h"
 #include "engine/config.h"
 #include "engine/run_result.h"
@@ -25,8 +23,10 @@
 
 namespace asf {
 
-/// Builds and runs one simulated system. Returns the aggregated result, or
-/// an error status for invalid configurations.
+/// Builds and runs one simulated system: RunMultiQuerySystem over a
+/// deployment of exactly one query (named "query", live from query_start
+/// to the horizon). Returns that query's stats with the run totals, or an
+/// error status for invalid configurations.
 Result<RunResult> RunSystem(const SystemConfig& config);
 
 }  // namespace asf

@@ -6,8 +6,7 @@
 /// \file
 /// The observability attachment point (DESIGN.md §14): a bundle of
 /// non-owning pointers a run driver (asf_run, a bench, a test) threads
-/// through SystemConfig / MultiQueryConfig / SimulationCore::Options
-/// into both engines and the network layer. Null pointers (the default)
+/// through RunOptions::obs into both engines and the network layer. Null pointers (the default)
 /// disable each facility independently at the cost of one branch per
 /// instrumentation point.
 ///

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "engine/run_result.h"
 #include "engine/spill_config.h"
 #include "net/network_model.h"
 
@@ -64,25 +65,18 @@ class TelemetryBlock {
 /// Empty when spilling is disabled.
 TelemetryBlock SpillTelemetryBlock(const SpillTelemetry& spill);
 
-/// The net facts only a single-query RunResult carries (null for churn
-/// mode, which reports the coarser churn net rows).
-struct NetRunExtras {
-  /// Server-side staleness of *reported* updates (RunResult::update_delay)
-  /// — distinct from NetStats::delay, which samples every payload.
-  const OnlineStats* update_delay = nullptr;
-  std::uint64_t oracle_checks = 0;
-  std::uint64_t oracle_violations_in_flight = 0;
-};
-
-/// Delivery telemetry. With `extras` non-null this is asf_run's rich
-/// single-query block (rows and metrics gated on DelaysDelivery, fault
+/// Delivery telemetry. With `query` (the one query's stats, whose
+/// update_delay is the server-side staleness of *reported* updates —
+/// distinct from NetStats::delay, which samples every payload) non-null
+/// this is asf_run's rich single-query block (rows and metrics gated on
+/// DelaysDelivery, fault
 /// rows additionally on HasFaults, fault *metrics* on HasFaults alone —
-/// the historical gating, preserved exactly); with `extras` null it is
+/// the historical gating, preserved exactly); with `query` null it is
 /// the churn-mode block (model, msgs per flush, staleness mean, dropped
 /// retired).
 TelemetryBlock NetTelemetryBlock(const NetConfig& config,
                                  const NetStats& stats,
-                                 const NetRunExtras* extras);
+                                 const QueryRunStats* query);
 
 }  // namespace obs
 }  // namespace asf

@@ -106,6 +106,35 @@ TEST(MultiQueryConfigTest, AcceptsEndBeyondHorizon) {
   EXPECT_EQ(result->queries[0].retired_at, config.duration);
 }
 
+// The counterpart of SystemConfigTest.RejectsBadTiming: the run-level
+// checks are the same ones.
+TEST(MultiQueryConfigTest, RejectsBadTiming) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto run = [](MultiQueryConfig config) {
+    config.queries.push_back(RangeDep("q", 400, 600, 0));
+    return RunMultiQuerySystem(config).status().code();
+  };
+  for (const double duration : {0.0, nan, inf, -inf}) {
+    MultiQueryConfig config = BaseConfig();
+    config.duration = duration;
+    EXPECT_EQ(run(config), StatusCode::kInvalidArgument)
+        << "duration " << duration;
+  }
+  for (const double start : {600.0, nan, inf, -inf}) {
+    MultiQueryConfig config = BaseConfig();
+    config.query_start = start;
+    EXPECT_EQ(run(config), StatusCode::kInvalidArgument)
+        << "query_start " << start;
+  }
+  for (const double interval : {-5.0, nan}) {
+    MultiQueryConfig config = BaseConfig();
+    config.oracle.sample_interval = interval;
+    EXPECT_EQ(run(config), StatusCode::kInvalidArgument)
+        << "oracle interval " << interval;
+  }
+}
+
 TEST(MultiQueryConfigTest, RejectsNanLifecycleTimes) {
   MultiQueryConfig config = BaseConfig();
   QueryDeployment bad = RangeDep("nan-end", 400, 600, 0);

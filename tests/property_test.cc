@@ -222,7 +222,7 @@ TEST_P(BroadcastModelProperty, OnlyAccountingChanges) {
   config.fraction = {0.3, 0.3};
   config.rank_r = 3;
   auto per_recipient = RunSystem(config);
-  config.broadcast_counts_as_one = true;
+  config.broadcast = BroadcastCostModel::kSingleMessage;
   auto broadcast = RunSystem(config);
   ASSERT_TRUE(per_recipient.ok());
   ASSERT_TRUE(broadcast.ok());

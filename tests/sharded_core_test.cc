@@ -18,8 +18,16 @@
 namespace asf {
 namespace {
 
-void ExpectSameStats(const MultiQueryResult::PerQuery& a,
-                     const MultiQueryResult::PerQuery& b,
+void ExpectSameMoments(const OnlineStats& a, const OnlineStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+/// Every field of the per-query record.
+void ExpectSameStats(const QueryRunStats& a, const QueryRunStats& b,
                      const std::string& label) {
   SCOPED_TRACE(label);
   EXPECT_EQ(a.name, b.name);
@@ -34,16 +42,22 @@ void ExpectSameStats(const MultiQueryResult::PerQuery& a,
   }
   EXPECT_EQ(a.updates_reported, b.updates_reported);
   EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
-  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
-  EXPECT_EQ(a.answer_size.min(), b.answer_size.min());
-  EXPECT_EQ(a.answer_size.max(), b.answer_size.max());
+  EXPECT_EQ(a.fp_filters_installed, b.fp_filters_installed);
+  EXPECT_EQ(a.fn_filters_installed, b.fn_filters_installed);
+  {
+    SCOPED_TRACE("answer_size");
+    ExpectSameMoments(a.answer_size, b.answer_size);
+  }
   EXPECT_EQ(a.oracle_checks, b.oracle_checks);
   EXPECT_EQ(a.oracle_violations, b.oracle_violations);
   EXPECT_EQ(a.max_f_plus, b.max_f_plus);
   EXPECT_EQ(a.max_f_minus, b.max_f_minus);
   EXPECT_EQ(a.max_worst_rank, b.max_worst_rank);
+  EXPECT_EQ(a.oracle_violations_in_flight, b.oracle_violations_in_flight);
+  {
+    SCOPED_TRACE("update_delay");
+    ExpectSameMoments(a.update_delay, b.update_delay);
+  }
   EXPECT_EQ(a.deployed_at, b.deployed_at);
   EXPECT_EQ(a.retired_at, b.retired_at);
 }
@@ -73,12 +87,14 @@ void ExpectSameNet(const NetStats& a, const NetStats& b) {
   EXPECT_EQ(a.probe_failovers, b.probe_failovers);
   EXPECT_EQ(a.reconcile_exchanges, b.reconcile_exchanges);
   EXPECT_EQ(a.reconcile_deploys, b.reconcile_deploys);
-  EXPECT_EQ(a.delay.count(), b.delay.count());
-  EXPECT_EQ(a.delay.mean(), b.delay.mean());
-  EXPECT_EQ(a.delay.max(), b.delay.max());
-  EXPECT_EQ(a.queue_depth.count(), b.queue_depth.count());
-  EXPECT_EQ(a.queue_depth.mean(), b.queue_depth.mean());
-  EXPECT_EQ(a.queue_depth.max(), b.queue_depth.max());
+  {
+    SCOPED_TRACE("delay");
+    ExpectSameMoments(a.delay, b.delay);
+  }
+  {
+    SCOPED_TRACE("queue_depth");
+    ExpectSameMoments(a.queue_depth, b.queue_depth);
+  }
 }
 
 void ExpectSameResult(const MultiQueryResult& serial,
@@ -93,6 +109,7 @@ void ExpectSameResult(const MultiQueryResult& serial,
   EXPECT_EQ(serial.updates_generated, sharded.updates_generated);
   EXPECT_EQ(serial.physical_updates, sharded.physical_updates);
   EXPECT_EQ(serial.peak_live_queries, sharded.peak_live_queries);
+  ExpectSameNet(serial.net, sharded.net);
 }
 
 /// A mixed three-query deployment of one protocol: one static query, one
@@ -135,41 +152,10 @@ MultiQueryConfig ProtocolConfig(ProtocolKind protocol) {
 /// one shard too).
 MultiQueryResult RunShardedDirect(const MultiQueryConfig& config,
                                   std::size_t shards) {
-  ShardedSimulationCore::Options options;
-  options.base.source = config.source;
-  options.base.duration = config.duration;
-  options.base.query_start = config.query_start;
-  options.base.seed = config.seed;
-  options.base.oracle = config.oracle;
-  options.base.net = config.net;
-  options.base.dispatch = config.dispatch;
+  RunOptions options = config;
   options.shards = shards;
   ShardedSimulationCore core(options);
-  for (const QueryDeployment& dep : config.queries) core.AddQuery(dep);
-  core.Run();
-
-  MultiQueryResult r;
-  r.queries.resize(config.queries.size());
-  for (std::size_t i = 0; i < config.queries.size(); ++i) {
-    const QueryRunStats& s = core.query_stats(i);
-    auto& q = r.queries[i];
-    q.name = s.name;
-    q.messages = s.messages;
-    q.updates_reported = s.updates_reported;
-    q.reinits = s.reinits;
-    q.answer_size = s.answer_size;
-    q.oracle_checks = s.oracle_checks;
-    q.oracle_violations = s.oracle_violations;
-    q.max_f_plus = s.max_f_plus;
-    q.max_f_minus = s.max_f_minus;
-    q.max_worst_rank = s.max_worst_rank;
-    q.deployed_at = s.deployed_at;
-    q.retired_at = s.retired_at;
-  }
-  r.updates_generated = core.updates_generated();
-  r.physical_updates = core.physical_updates();
-  r.peak_live_queries = core.peak_live_queries();
-  return r;
+  return RunDeployments(core, config.queries);
 }
 
 TEST(ShardedCoreTest, ByteIdenticalToSerialAcrossProtocolsAndShardCounts) {
@@ -293,7 +279,6 @@ TEST(ShardedCoreTest, ByteIdenticalWithPerUpdateOracle) {
       auto churn_sharded = RunMultiQuerySystem(churn);
       ASSERT_TRUE(churn_sharded.ok()) << churn_sharded.status().ToString();
       ExpectSameResult(*churn_serial, *churn_sharded, label);
-      ExpectSameNet(churn_serial->net, churn_sharded->net);
 
       // The schedule retires queries mid-run, and the audit judged them.
       std::size_t retired = 0;
@@ -495,7 +480,6 @@ TEST(ShardedCoreTest, DispatchPoliciesByteIdenticalOnSpilledChurn) {
       auto run = RunMultiQuerySystem(config);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       ExpectSameResult(*scan, *run, label);
-      ExpectSameNet(scan->net, run->net);
       EXPECT_EQ(scan->spill.records_spilled, run->spill.records_spilled);
       EXPECT_EQ(scan->spill.records_faulted, run->spill.records_faulted);
       // Auto must serve this population through both paths. ASF_DISPATCH

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "trace/tcp_synth.h"
 
 namespace asf {
@@ -53,6 +55,32 @@ TEST(SystemConfigTest, RejectsBadTiming) {
   config = SmallWalkConfig();
   config.query_start = config.duration;  // must be strictly before
   EXPECT_FALSE(RunSystem(config).ok());
+
+  // Non-finite times and a negative or NaN audit interval are refused up
+  // front, never run (an infinite horizon would not end).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double duration : {nan, inf, -inf}) {
+    config = SmallWalkConfig();
+    config.duration = duration;
+    EXPECT_EQ(RunSystem(config).status().code(),
+              StatusCode::kInvalidArgument)
+        << "duration " << duration;
+  }
+  for (const double start : {nan, inf, -inf}) {
+    config = SmallWalkConfig();
+    config.query_start = start;
+    EXPECT_EQ(RunSystem(config).status().code(),
+              StatusCode::kInvalidArgument)
+        << "query_start " << start;
+  }
+  for (const double interval : {-5.0, nan}) {
+    config = SmallWalkConfig();
+    config.oracle.sample_interval = interval;
+    EXPECT_EQ(RunSystem(config).status().code(),
+              StatusCode::kInvalidArgument)
+        << "oracle interval " << interval;
+  }
 }
 
 TEST(SystemConfigTest, RejectsMissingTrace) {

@@ -242,18 +242,67 @@ class ObsSession {
   double metrics_every_ = 0;
 };
 
-/// The run's wall-clock readings, printed as standalone lines after the
-/// summary table, like the spill lines: as table rows they would size the
-/// table's columns, and two runs of one config would differ in padding.
-void PrintTimingLines(bool sharded, double replay_seconds, bool pinned,
-                      double wall_seconds) {
-  if (sharded) {
-    std::printf("replay seconds %.3f (%.1f%% of wall)%s\n", replay_seconds,
-                wall_seconds > 0 ? 100.0 * replay_seconds / wall_seconds
-                                 : 0.0,
-                pinned ? ", pinned" : "");
+using Metrics = std::vector<std::pair<std::string, double>>;
+
+/// The epilogue both modes share, after the summary table: the run's
+/// wall-clock readings and the spill lines, printed as standalone lines —
+/// as table rows they would size the table's columns, and two runs of one
+/// config would differ in padding — then --bench-json (the mode's own
+/// `metrics`, the run totals' dispatch and timing figures, the net and
+/// spill blocks) and the obs epilogue.
+Status FinishRun(const Flags& flags, const char* bench,
+                 const RunOptions& config, const RunTotals& totals,
+                 const obs::TelemetryBlock& net_block, Metrics metrics,
+                 const ObsSession& obs_session) {
+  if (config.shards > 1) {
+    std::printf("replay seconds %.3f (%.1f%% of wall)%s\n",
+                totals.replay_seconds,
+                totals.wall_seconds > 0
+                    ? 100.0 * totals.replay_seconds / totals.wall_seconds
+                    : 0.0,
+                totals.pinned ? ", pinned" : "");
   }
-  std::printf("wall seconds %.3f\n", wall_seconds);
+  std::printf("wall seconds %.3f\n", totals.wall_seconds);
+  // Spill stats print as standalone "spill "-prefixed lines — never as
+  // table rows — so a spill vs in-memory diff drops them with a single
+  // `grep -v "^spill "`.
+  const obs::TelemetryBlock spill_block =
+      obs::SpillTelemetryBlock(totals.spill);
+  spill_block.PrintLines();
+
+  // Machine-readable counterpart of the tables, same schema as the bench
+  // harnesses and `asf_sweep --bench-json`.
+  std::unique_ptr<metrics::JsonWriter> writer;
+  if (flags.Has("bench-json")) {
+    metrics.insert(
+        metrics.end(),
+        {{"dispatch_policy",
+          static_cast<double>(static_cast<int>(totals.dispatch_policy))},
+         {"dispatch_scan",
+          static_cast<double>(totals.dispatch.scan_dispatches)},
+         {"dispatch_index",
+          static_cast<double>(totals.dispatch.index_dispatches)},
+         {"dispatch_rebuilds_total",
+          static_cast<double>(totals.dispatch.index_rebuilds)},
+         {"dispatch_rebuilds_max_stream",
+          static_cast<double>(totals.dispatch.max_stream_rebuilds)},
+         {"replay_seconds", totals.replay_seconds},
+         {"replay_fraction", totals.wall_seconds > 0
+                                 ? totals.replay_seconds / totals.wall_seconds
+                                 : 0.0},
+         {"pinned", totals.pinned ? 1.0 : 0.0},
+         {"wall_seconds", totals.wall_seconds}});
+    net_block.AppendMetrics(&metrics);
+    spill_block.AppendMetrics(&metrics);
+    writer = std::make_unique<metrics::JsonWriter>(bench);
+    writer->AddMetrics(metrics);
+  }
+  ASF_RETURN_IF_ERROR(obs_session.Finish(totals.wall_seconds, writer.get()));
+  if (writer != nullptr) {
+    ASF_RETURN_IF_ERROR(writer->WriteTo(flags.GetString("bench-json")));
+    std::printf("wrote %s\n", flags.GetString("bench-json").c_str());
+  }
+  return Status::OK();
 }
 
 Result<ProtocolKind> ParseProtocol(const std::string& name) {
@@ -318,9 +367,7 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   entry.rank_r = base.rank_r;
   entry.k = base.query.k;
   entry.ft = base.ft;
-  entry.broadcast = base.broadcast_counts_as_one
-                        ? BroadcastCostModel::kSingleMessage
-                        : BroadcastCostModel::kPerRecipient;
+  entry.broadcast = base.broadcast;
   // An explicitly given query geometry pins every arrival's shape;
   // otherwise shapes are drawn at random over the value space.
   if ((base.query.type == QuerySpec::Type::kRange && flags.Has("range")) ||
@@ -331,17 +378,10 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
   spec.mix.push_back(entry);
 
   MultiQueryConfig config;
-  config.source = base.source;
-  config.duration = base.duration;
-  config.query_start = base.query_start;
-  config.seed = base.seed;
-  config.oracle = base.oracle;
-  config.shards = base.shards;
-  config.pin_threads = base.pin_threads;
-  config.net = base.net;
-  config.dispatch = base.dispatch;
-  config.spill = base.spill;
-  config.obs = base.obs;
+  static_cast<RunOptions&>(config) = base;
+  // Expanding a schedule over an invalid horizon (NaN, infinite) would
+  // not fail cleanly, so the run settings are checked first.
+  ASF_RETURN_IF_ERROR(config.RunOptions::Validate());
   ASF_ASSIGN_OR_RETURN(config.queries, ExpandChurn(spec, config.duration));
   if (config.queries.empty()) {
     return Status::InvalidArgument(
@@ -358,7 +398,7 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
               config.shards == 1 ? "" : "s");
   TextTable per_query({"query", "deployed", "retired", "maint_messages",
                        "reported", "answer_mean", "oracle"});
-  for (const MultiQueryResult::PerQuery& q : result.queries) {
+  for (const QueryRunStats& q : result.queries) {
     per_query.AddRow(
         {q.name, Fmt("%g", q.deployed_at), Fmt("%g", q.retired_at),
          Fmt("%llu", (unsigned long long)q.messages.MaintenanceTotal()),
@@ -387,52 +427,18 @@ Status RunChurn(const Flags& flags, const SystemConfig& base,
       obs::NetTelemetryBlock(config.net, result.net, nullptr);
   net_block.AppendRows(&totals);
   std::printf("%s", totals.ToString().c_str());
-  PrintTimingLines(config.shards > 1, result.replay_seconds, result.pinned,
-                   result.wall_seconds);
-  const obs::TelemetryBlock spill_block = obs::SpillTelemetryBlock(result.spill);
-  spill_block.PrintLines();
-
-  std::unique_ptr<metrics::JsonWriter> writer;
-  if (flags.Has("bench-json")) {
-    std::vector<std::pair<std::string, double>> metrics = {
-        {"queries", static_cast<double>(result.queries.size())},
-        {"shards", static_cast<double>(config.shards)},
-        {"simd", static_cast<double>(simd::KernelLanes())},
-        {"peak_live", static_cast<double>(result.peak_live_queries)},
-        {"updates_generated",
-         static_cast<double>(result.updates_generated)},
-        {"physical_maint",
-         static_cast<double>(result.PhysicalMaintenanceTotal())},
-        {"logical_maint",
-         static_cast<double>(result.LogicalMaintenanceTotal())},
-        {"dispatch_policy",
-         static_cast<double>(static_cast<int>(result.dispatch_policy))},
-        {"dispatch_scan",
-         static_cast<double>(result.dispatch.scan_dispatches)},
-        {"dispatch_index",
-         static_cast<double>(result.dispatch.index_dispatches)},
-        {"dispatch_rebuilds_total",
-         static_cast<double>(result.dispatch.index_rebuilds)},
-        {"dispatch_rebuilds_max_stream",
-         static_cast<double>(result.dispatch.max_stream_rebuilds)},
-        {"replay_seconds", result.replay_seconds},
-        {"replay_fraction",
-         result.wall_seconds > 0
-            ? result.replay_seconds / result.wall_seconds
-            : 0.0},
-        {"pinned", result.pinned ? 1.0 : 0.0},
-        {"wall_seconds", result.wall_seconds}};
-    net_block.AppendMetrics(&metrics);
-    spill_block.AppendMetrics(&metrics);
-    writer = std::make_unique<metrics::JsonWriter>("asf_run_churn");
-    writer->AddMetrics(metrics);
-  }
-  ASF_RETURN_IF_ERROR(obs_session.Finish(result.wall_seconds, writer.get()));
-  if (writer != nullptr) {
-    ASF_RETURN_IF_ERROR(writer->WriteTo(flags.GetString("bench-json")));
-    std::printf("wrote %s\n", flags.GetString("bench-json").c_str());
-  }
-  return Status::OK();
+  return FinishRun(
+      flags, "asf_run_churn", config, result, net_block,
+      {{"queries", static_cast<double>(result.queries.size())},
+       {"shards", static_cast<double>(config.shards)},
+       {"simd", static_cast<double>(simd::KernelLanes())},
+       {"peak_live", static_cast<double>(result.peak_live_queries)},
+       {"updates_generated", static_cast<double>(result.updates_generated)},
+       {"physical_maint",
+        static_cast<double>(result.PhysicalMaintenanceTotal())},
+       {"logical_maint",
+        static_cast<double>(result.LogicalMaintenanceTotal())}},
+      obs_session);
 }
 
 Status RunFromFlags(const Flags& flags) {
@@ -561,66 +567,25 @@ Status RunFromFlags(const Flags& flags) {
   }
   // Delivery costs — only under a delaying model, so default runs print
   // byte-identically to the pre-subsystem tool. The block carries both
-  // presentations (rows here, metrics below) so they cannot drift.
-  obs::NetRunExtras net_extras;
-  net_extras.update_delay = &result.update_delay;
-  net_extras.oracle_checks = result.oracle_checks;
-  net_extras.oracle_violations_in_flight = result.oracle_violations_in_flight;
+  // presentations (rows here, bench-json metrics in FinishRun) so they
+  // cannot drift.
   const obs::TelemetryBlock net_block =
-      obs::NetTelemetryBlock(config.net, result.net, &net_extras);
+      obs::NetTelemetryBlock(config.net, result.net, &result);
   net_block.AppendRows(&table);
   std::printf("%s", table.ToString().c_str());
-  PrintTimingLines(config.shards > 1, result.replay_seconds, result.pinned,
-                   result.wall_seconds);
-  // Spill stats print as standalone "spill "-prefixed lines AFTER the
-  // summary table — never as table rows. Extra rows would re-align the
-  // table's column widths, and the byte-identity CI legs diff spill vs
-  // in-memory output with a single `grep -v "^spill "`.
-  const obs::TelemetryBlock spill_block = obs::SpillTelemetryBlock(result.spill);
-  spill_block.PrintLines();
-
-  // Machine-readable counterpart of the table, same schema as the bench
-  // harnesses and `asf_sweep --bench-json`.
-  std::unique_ptr<metrics::JsonWriter> writer;
-  if (flags.Has("bench-json")) {
-    std::vector<std::pair<std::string, double>> metrics = {
-        {"maint_messages", static_cast<double>(result.MaintenanceMessages())},
-        {"shards", static_cast<double>(config.shards)},
-        {"simd", static_cast<double>(simd::KernelLanes())},
-        {"init_messages", static_cast<double>(result.messages.InitTotal())},
-        {"updates_generated", static_cast<double>(result.updates_generated)},
-        {"updates_reported", static_cast<double>(result.updates_reported)},
-        {"reinits", static_cast<double>(result.reinits)},
-        {"answer_size_mean", result.answer_size.mean()},
-        {"oracle_checks", static_cast<double>(result.oracle_checks)},
-        {"oracle_violations", static_cast<double>(result.oracle_violations)},
-        {"dispatch_policy",
-         static_cast<double>(static_cast<int>(result.dispatch_policy))},
-        {"dispatch_scan",
-         static_cast<double>(result.dispatch.scan_dispatches)},
-        {"dispatch_index",
-         static_cast<double>(result.dispatch.index_dispatches)},
-        {"dispatch_rebuilds_total",
-         static_cast<double>(result.dispatch.index_rebuilds)},
-        {"dispatch_rebuilds_max_stream",
-         static_cast<double>(result.dispatch.max_stream_rebuilds)},
-        {"replay_seconds", result.replay_seconds},
-        {"replay_fraction", result.wall_seconds > 0
-                                ? result.replay_seconds / result.wall_seconds
-                                : 0.0},
-        {"pinned", result.pinned ? 1.0 : 0.0},
-        {"wall_seconds", result.wall_seconds}};
-    net_block.AppendMetrics(&metrics);
-    spill_block.AppendMetrics(&metrics);
-    writer = std::make_unique<metrics::JsonWriter>("asf_run");
-    writer->AddMetrics(metrics);
-  }
-  ASF_RETURN_IF_ERROR(obs_session.Finish(result.wall_seconds, writer.get()));
-  if (writer != nullptr) {
-    ASF_RETURN_IF_ERROR(writer->WriteTo(flags.GetString("bench-json")));
-    std::printf("wrote %s\n", flags.GetString("bench-json").c_str());
-  }
-  return Status::OK();
+  return FinishRun(
+      flags, "asf_run", config, result, net_block,
+      {{"maint_messages", static_cast<double>(result.MaintenanceMessages())},
+       {"shards", static_cast<double>(config.shards)},
+       {"simd", static_cast<double>(simd::KernelLanes())},
+       {"init_messages", static_cast<double>(result.messages.InitTotal())},
+       {"updates_generated", static_cast<double>(result.updates_generated)},
+       {"updates_reported", static_cast<double>(result.updates_reported)},
+       {"reinits", static_cast<double>(result.reinits)},
+       {"answer_size_mean", result.answer_size.mean()},
+       {"oracle_checks", static_cast<double>(result.oracle_checks)},
+       {"oracle_violations", static_cast<double>(result.oracle_violations)}},
+      obs_session);
 }
 
 }  // namespace
