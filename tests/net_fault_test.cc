@@ -13,6 +13,7 @@
 #include "net/fault_pipeline.h"
 #include "net/network_model.h"
 #include "net_counters.h"
+#include "query_stats_equal.h"
 #include "sim/scheduler.h"
 
 /// \file
@@ -177,24 +178,9 @@ const ProtoCase kAllProtocols[] = {
 
 void ExpectSameRun(const RunResult& a, const RunResult& b,
                    const char* label) {
-  for (int phase = 0; phase < kNumMessagePhases; ++phase) {
-    for (int type = 0; type < kNumMessageTypes; ++type) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)),
-                b.messages.count(static_cast<MessagePhase>(phase),
-                                 static_cast<MessageType>(type)))
-          << label << " phase=" << phase << " type=" << type;
-    }
-  }
-  EXPECT_EQ(a.updates_generated, b.updates_generated) << label;
-  EXPECT_EQ(a.updates_reported, b.updates_reported) << label;
-  EXPECT_EQ(a.reinits, b.reinits) << label;
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count()) << label;
-  EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean()) << label;
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks) << label;
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_plus, b.max_f_plus) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_minus, b.max_f_minus) << label;
+  SCOPED_TRACE(label);
+  ExpectSameQueryStats(a, b);
+  EXPECT_EQ(a.updates_generated, b.updates_generated);
 }
 
 void ExpectSameNetStats(const NetStats& a, const NetStats& b,

@@ -17,6 +17,7 @@
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace_convert.h"
+#include "query_stats_equal.h"
 
 // Unified observability layer (DESIGN.md §14): tracer ring semantics,
 // binary <-> Chrome JSON round trip, histogram bucket math, profiler
@@ -359,38 +360,14 @@ void ExpectSameNet(const NetStats& a, const NetStats& b,
   for (std::size_t i = 0; i < ca.size(); ++i) {
     EXPECT_EQ(ca[i].second, cb[i].second) << label << " " << ca[i].first;
   }
-  EXPECT_EQ(a.delay.count(), b.delay.count()) << label;
-  EXPECT_DOUBLE_EQ(a.delay.mean(), b.delay.mean()) << label;
-}
-
-void ExpectSameMessages(const MessageStats& a, const MessageStats& b,
-                        const std::string& label) {
-  for (int phase = 0; phase < kNumMessagePhases; ++phase) {
-    for (int type = 0; type < kNumMessageTypes; ++type) {
-      EXPECT_EQ(a.count(static_cast<MessagePhase>(phase),
-                        static_cast<MessageType>(type)),
-                b.count(static_cast<MessagePhase>(phase),
-                        static_cast<MessageType>(type)))
-          << label << " phase=" << phase << " type=" << type;
-    }
-  }
+  ExpectSameMoments(a.delay, b.delay, "net.delay");
 }
 
 void ExpectIdenticalResults(const RunResult& a, const RunResult& b,
                             const std::string& label) {
-  ExpectSameMessages(a.messages, b.messages, label);
-  EXPECT_EQ(a.updates_generated, b.updates_generated) << label;
-  EXPECT_EQ(a.updates_reported, b.updates_reported) << label;
-  EXPECT_EQ(a.reinits, b.reinits) << label;
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks) << label;
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations) << label;
-  EXPECT_EQ(a.oracle_violations_in_flight, b.oracle_violations_in_flight)
-      << label;
-  EXPECT_DOUBLE_EQ(a.max_f_plus, b.max_f_plus) << label;
-  EXPECT_DOUBLE_EQ(a.max_f_minus, b.max_f_minus) << label;
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count()) << label;
-  EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean()) << label;
-  EXPECT_DOUBLE_EQ(a.update_delay.mean(), b.update_delay.mean()) << label;
+  SCOPED_TRACE(label);
+  ExpectSameQueryStats(a, b);
+  EXPECT_EQ(a.updates_generated, b.updates_generated);
   ExpectSameNet(a.net, b.net, label);
 }
 
@@ -455,16 +432,8 @@ TEST(ObsInertnessTest, ChurnIsByteIdentical) {
     ExpectSameNet(baseline->net, observed->net, label);
     ASSERT_EQ(baseline->queries.size(), observed->queries.size());
     for (std::size_t q = 0; q < baseline->queries.size(); ++q) {
-      const auto& a = baseline->queries[q];
-      const auto& b = observed->queries[q];
-      const std::string qlabel = label + " " + a.name;
-      ExpectSameMessages(a.messages, b.messages, qlabel);
-      EXPECT_EQ(a.updates_reported, b.updates_reported) << qlabel;
-      EXPECT_EQ(a.reinits, b.reinits) << qlabel;
-      EXPECT_EQ(a.oracle_checks, b.oracle_checks) << qlabel;
-      EXPECT_EQ(a.oracle_violations, b.oracle_violations) << qlabel;
-      EXPECT_DOUBLE_EQ(a.answer_size.mean(), b.answer_size.mean()) << qlabel;
-      EXPECT_DOUBLE_EQ(a.retired_at, b.retired_at) << qlabel;
+      SCOPED_TRACE(label + " " + baseline->queries[q].name);
+      ExpectSameQueryStats(baseline->queries[q], observed->queries[q]);
     }
     facilities.ExpectRan(config.duration, shards, label);
   }

@@ -8,6 +8,8 @@
 #include "engine/churn.h"
 #include "engine/multi_system.h"
 #include "net/message.h"
+#include "net_counters.h"
+#include "query_stats_equal.h"
 
 // Sharded-vs-serial equivalence: ShardedSimulationCore must produce
 // byte-identical results to the serial SimulationCore for any shard count,
@@ -18,83 +20,14 @@
 namespace asf {
 namespace {
 
-void ExpectSameMoments(const OnlineStats& a, const OnlineStats& b) {
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.variance(), b.variance());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-}
-
-/// Every field of the per-query record.
-void ExpectSameStats(const QueryRunStats& a, const QueryRunStats& b,
-                     const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.name, b.name);
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)),
-                b.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)))
-          << "phase " << p << " type " << t;
-    }
-  }
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.fp_filters_installed, b.fp_filters_installed);
-  EXPECT_EQ(a.fn_filters_installed, b.fn_filters_installed);
-  {
-    SCOPED_TRACE("answer_size");
-    ExpectSameMoments(a.answer_size, b.answer_size);
-  }
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
-  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
-  EXPECT_EQ(a.max_worst_rank, b.max_worst_rank);
-  EXPECT_EQ(a.oracle_violations_in_flight, b.oracle_violations_in_flight);
-  {
-    SCOPED_TRACE("update_delay");
-    ExpectSameMoments(a.update_delay, b.update_delay);
-  }
-  EXPECT_EQ(a.deployed_at, b.deployed_at);
-  EXPECT_EQ(a.retired_at, b.retired_at);
-}
-
 void ExpectSameNet(const NetStats& a, const NetStats& b) {
-  EXPECT_EQ(a.crossings, b.crossings);
-  EXPECT_EQ(a.update_messages, b.update_messages);
-  EXPECT_EQ(a.update_payloads, b.update_payloads);
-  EXPECT_EQ(a.delivered_crossings, b.delivered_crossings);
-  EXPECT_EQ(a.deploy_messages, b.deploy_messages);
-  EXPECT_EQ(a.control_rpcs, b.control_rpcs);
-  EXPECT_EQ(a.dropped_retired, b.dropped_retired);
-  EXPECT_EQ(a.deploy_dropped_retired, b.deploy_dropped_retired);
-  EXPECT_EQ(a.in_flight_at_end, b.in_flight_at_end);
-  EXPECT_EQ(a.in_flight_crossings_at_end, b.in_flight_crossings_at_end);
-  EXPECT_EQ(a.dropped_loss, b.dropped_loss);
-  EXPECT_EQ(a.dropped_partition, b.dropped_partition);
-  EXPECT_EQ(a.suppressed_stale, b.suppressed_stale);
-  EXPECT_EQ(a.deploy_attempts, b.deploy_attempts);
-  EXPECT_EQ(a.deploy_retransmits, b.deploy_retransmits);
-  EXPECT_EQ(a.deploy_dropped, b.deploy_dropped);
-  EXPECT_EQ(a.deploy_acks, b.deploy_acks);
-  EXPECT_EQ(a.deploy_dup_suppressed, b.deploy_dup_suppressed);
-  EXPECT_EQ(a.deploy_stale_acks, b.deploy_stale_acks);
-  EXPECT_EQ(a.deploy_unacked_at_end, b.deploy_unacked_at_end);
-  EXPECT_EQ(a.probe_retransmits, b.probe_retransmits);
-  EXPECT_EQ(a.probe_failovers, b.probe_failovers);
-  EXPECT_EQ(a.reconcile_exchanges, b.reconcile_exchanges);
-  EXPECT_EQ(a.reconcile_deploys, b.reconcile_deploys);
-  {
-    SCOPED_TRACE("delay");
-    ExpectSameMoments(a.delay, b.delay);
+  const auto ca = NetCounters(a);
+  const auto cb = NetCounters(b);
+  for (std::size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(ca[i].second, cb[i].second) << "net." << ca[i].first;
   }
-  {
-    SCOPED_TRACE("queue_depth");
-    ExpectSameMoments(a.queue_depth, b.queue_depth);
-  }
+  ExpectSameMoments(a.delay, b.delay, "net.delay");
+  ExpectSameMoments(a.queue_depth, b.queue_depth, "net.queue_depth");
 }
 
 void ExpectSameResult(const MultiQueryResult& serial,
@@ -103,8 +36,8 @@ void ExpectSameResult(const MultiQueryResult& serial,
   SCOPED_TRACE(label);
   ASSERT_EQ(serial.queries.size(), sharded.queries.size());
   for (std::size_t i = 0; i < serial.queries.size(); ++i) {
-    ExpectSameStats(serial.queries[i], sharded.queries[i],
-                    label + " query " + std::to_string(i));
+    SCOPED_TRACE("query " + std::to_string(i));
+    ExpectSameQueryStats(serial.queries[i], sharded.queries[i]);
   }
   EXPECT_EQ(serial.updates_generated, sharded.updates_generated);
   EXPECT_EQ(serial.physical_updates, sharded.physical_updates);

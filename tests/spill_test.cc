@@ -8,6 +8,7 @@
 #include "engine/churn.h"
 #include "engine/multi_system.h"
 #include "engine/system.h"
+#include "query_stats_equal.h"
 
 // Out-of-core query state (DESIGN.md §13): the spilled-record codec must
 // be bit-exact, and a run that spills retired state to the spill log must
@@ -68,50 +69,16 @@ QueryRunStats SampleStats() {
   return stats;
 }
 
-void ExpectBitExact(const QueryRunStats& a, const QueryRunStats& b) {
-  EXPECT_EQ(a.name, b.name);
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)),
-                b.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)));
-    }
-  }
-  EXPECT_EQ(a.messages.phase(), b.messages.phase());
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.fp_filters_installed, b.fp_filters_installed);
-  EXPECT_EQ(a.fn_filters_installed, b.fn_filters_installed);
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
-  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
-  EXPECT_EQ(a.answer_size.min(), b.answer_size.min());
-  EXPECT_EQ(a.answer_size.max(), b.answer_size.max());
-  EXPECT_EQ(a.answer_size.sum(), b.answer_size.sum());
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
-  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
-  EXPECT_EQ(a.max_worst_rank, b.max_worst_rank);
-  EXPECT_EQ(a.oracle_violations_in_flight, b.oracle_violations_in_flight);
-  EXPECT_EQ(a.update_delay.count(), b.update_delay.count());
-  EXPECT_EQ(a.update_delay.mean(), b.update_delay.mean());
-  EXPECT_EQ(a.update_delay.variance(), b.update_delay.variance());
-  EXPECT_EQ(a.deployed_at, b.deployed_at);
-  EXPECT_EQ(a.retired_at, b.retired_at);
-}
-
 TEST(SpillCodecTest, RoundTripIsBitExact) {
   const QueryRunStats stats = SampleStats();
   const auto bytes = engine_internal::EncodeQueryRecord(stats);
   EXPECT_FALSE(bytes.empty());
-  ExpectBitExact(stats, engine_internal::DecodeQueryRecord(bytes));
+  ExpectSameQueryStats(stats, engine_internal::DecodeQueryRecord(bytes));
 }
 
 TEST(SpillCodecTest, DefaultStatsRoundTrip) {
   const QueryRunStats stats;
-  ExpectBitExact(stats, engine_internal::DecodeQueryRecord(
+  ExpectSameQueryStats(stats, engine_internal::DecodeQueryRecord(
                             engine_internal::EncodeQueryRecord(stats)));
 }
 
@@ -138,7 +105,7 @@ TEST(SpillerTest, SpillAndFaultManyRecords) {
     EXPECT_TRUE(refs.back().valid());
   }
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    ExpectBitExact(originals[i], spiller->Fault(refs[i]));
+    ExpectSameQueryStats(originals[i], spiller->Fault(refs[i]));
   }
   const SpillTelemetry telemetry = spiller->Telemetry();
   EXPECT_TRUE(telemetry.enabled);
@@ -153,37 +120,13 @@ TEST(SpillerTest, SpillAndFaultManyRecords) {
 
 // --- Whole-run equivalence: spill vs in-memory, byte-identical ---
 
-void ExpectSameStats(const MultiQueryResult::PerQuery& a,
-                     const MultiQueryResult::PerQuery& b) {
-  EXPECT_EQ(a.name, b.name);
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)),
-                b.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)));
-    }
-  }
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
-  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
-  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
-  EXPECT_EQ(a.deployed_at, b.deployed_at);
-  EXPECT_EQ(a.retired_at, b.retired_at);
-}
-
 void ExpectSameResult(const MultiQueryResult& a, const MultiQueryResult& b,
                       const std::string& label) {
   SCOPED_TRACE(label);
   ASSERT_EQ(a.queries.size(), b.queries.size());
   for (std::size_t i = 0; i < a.queries.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
-    ExpectSameStats(a.queries[i], b.queries[i]);
+    ExpectSameQueryStats(a.queries[i], b.queries[i]);
   }
   EXPECT_EQ(a.updates_generated, b.updates_generated);
   EXPECT_EQ(a.physical_updates, b.physical_updates);
@@ -239,26 +182,8 @@ TEST(SpillEquivalenceTest, ChurnAcrossShards) {
 void ExpectSameRun(const RunResult& a, const RunResult& b,
                    const std::string& label) {
   SCOPED_TRACE(label);
-  for (int p = 0; p < kNumMessagePhases; ++p) {
-    for (int t = 0; t < kNumMessageTypes; ++t) {
-      EXPECT_EQ(a.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)),
-                b.messages.count(static_cast<MessagePhase>(p),
-                                 static_cast<MessageType>(t)));
-    }
-  }
+  ExpectSameQueryStats(a, b);
   EXPECT_EQ(a.updates_generated, b.updates_generated);
-  EXPECT_EQ(a.updates_reported, b.updates_reported);
-  EXPECT_EQ(a.reinits, b.reinits);
-  EXPECT_EQ(a.fp_filters_installed, b.fp_filters_installed);
-  EXPECT_EQ(a.fn_filters_installed, b.fn_filters_installed);
-  EXPECT_EQ(a.answer_size.count(), b.answer_size.count());
-  EXPECT_EQ(a.answer_size.mean(), b.answer_size.mean());
-  EXPECT_EQ(a.answer_size.variance(), b.answer_size.variance());
-  EXPECT_EQ(a.oracle_checks, b.oracle_checks);
-  EXPECT_EQ(a.oracle_violations, b.oracle_violations);
-  EXPECT_EQ(a.max_f_plus, b.max_f_plus);
-  EXPECT_EQ(a.max_f_minus, b.max_f_minus);
 }
 
 // A static query is live until the horizon, so it never leaves the hot
