@@ -8,13 +8,16 @@ Status RandomWalkConfig::Validate() const {
   if (num_streams == 0) {
     return Status::InvalidArgument("num_streams must be > 0");
   }
-  if (!(init_lo < init_hi)) {
-    return Status::InvalidArgument("init_lo must be < init_hi");
+  if (!std::isfinite(init_lo) || !std::isfinite(init_hi) ||
+      !(init_lo < init_hi)) {
+    return Status::InvalidArgument("init_lo must be < init_hi, both finite");
   }
-  if (!(mean_interarrival > 0)) {
-    return Status::InvalidArgument("mean_interarrival must be > 0");
+  if (!std::isfinite(mean_interarrival) || !(mean_interarrival > 0)) {
+    return Status::InvalidArgument("mean_interarrival must be finite and > 0");
   }
-  if (sigma < 0) return Status::InvalidArgument("sigma must be >= 0");
+  if (!std::isfinite(sigma) || sigma < 0) {
+    return Status::InvalidArgument("sigma must be finite and >= 0");
+  }
   return Status::OK();
 }
 

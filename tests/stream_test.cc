@@ -1,5 +1,7 @@
 #include "stream/random_walk.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
@@ -26,6 +28,31 @@ TEST(RandomWalkTest, ConfigValidation) {
   bad = ok;
   bad.sigma = -1;
   EXPECT_FALSE(bad.Validate().ok());
+}
+
+// A non-finite setting would walk NaN values or never schedule an update;
+// Validate refuses it instead of running.
+TEST(RandomWalkTest, ConfigRejectsNonFinite) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const RandomWalkConfig ok;
+  for (const double v : {nan, inf, -inf}) {
+    RandomWalkConfig bad = ok;
+    bad.sigma = v;
+    EXPECT_FALSE(bad.Validate().ok()) << "sigma " << v;
+    bad = ok;
+    bad.mean_interarrival = v;
+    EXPECT_FALSE(bad.Validate().ok()) << "mean_interarrival " << v;
+    bad = ok;
+    bad.init_lo = v;
+    EXPECT_FALSE(bad.Validate().ok()) << "init_lo " << v;
+    bad = ok;
+    bad.init_hi = v;
+    EXPECT_FALSE(bad.Validate().ok()) << "init_hi " << v;
+  }
+  RandomWalkConfig still_ok = ok;
+  still_ok.sigma = 0;  // a constant stream is a valid walk
+  EXPECT_TRUE(still_ok.Validate().ok());
 }
 
 TEST(RandomWalkTest, InitialValuesUniformInRange) {
