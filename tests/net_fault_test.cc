@@ -295,21 +295,37 @@ TEST(NetFaultShardedTest, SerialMatchesShardedUnderFaults) {
 
 // ------------------------------------ cross-commit identity pin (RTP)
 
-SystemConfig PinConfig(const char* spec, std::size_t shards) {
+SystemConfig PinConfig(const char* spec, std::size_t shards,
+                       std::uint64_t seed = 41) {
   SystemConfig config;
   RandomWalkConfig walk;
   walk.num_streams = 300;
-  walk.seed = 41;
+  walk.seed = seed;
   config.source = SourceSpec::Walk(walk);
   config.query = QuerySpec::Knn(10, 500);
   config.protocol = ProtocolKind::kRtp;
   config.rank_r = 4;
   config.duration = 300;
-  config.seed = 41;
+  config.seed = seed;
   config.oracle.sample_interval = 20;
   config.shards = shards;
   config.net = ParseNetSpec(spec).value();
   return config;
+}
+
+/// The RTP counters a pin records: updates generated, updates reported,
+/// reinits, init messages, and maintenance value updates, probe
+/// requests, deploys, total.
+std::vector<std::uint64_t> RtpPinCounters(const RunResult& run) {
+  const MessageStats& m = run.messages;
+  return {run.updates_generated,
+          run.updates_reported,
+          run.reinits,
+          m.InitTotal(),
+          m.count(MessagePhase::kMaintenance, MessageType::kValueUpdate),
+          m.count(MessagePhase::kMaintenance, MessageType::kProbeRequest),
+          m.count(MessagePhase::kMaintenance, MessageType::kFilterDeploy),
+          run.MaintenanceMessages()};
 }
 
 /// RTP k-NN under delayed, lossy, partitioned and reordering nets, with
@@ -352,16 +368,7 @@ TEST(NetFaultPinTest, RtpKnnCountersMatchRecordedValues) {
   for (const Pin& pin : kPins) {
     auto run = RunSystem(PinConfig(pin.spec, pin.shards));
     ASSERT_TRUE(run.ok()) << pin.spec;
-    const MessageStats& m = run->messages;
-    const std::uint64_t got[8] = {
-        run->updates_generated,
-        run->updates_reported,
-        run->reinits,
-        m.InitTotal(),
-        m.count(MessagePhase::kMaintenance, MessageType::kValueUpdate),
-        m.count(MessagePhase::kMaintenance, MessageType::kProbeRequest),
-        m.count(MessagePhase::kMaintenance, MessageType::kFilterDeploy),
-        run->MaintenanceMessages()};
+    const std::vector<std::uint64_t> got = RtpPinCounters(*run);
     for (std::size_t i = 0; i < 8; ++i) {
       EXPECT_EQ(got[i], pin.run[i]) << pin.spec << " s" << pin.shards
                                     << " run[" << i << "]";
@@ -373,6 +380,51 @@ TEST(NetFaultPinTest, RtpKnnCountersMatchRecordedValues) {
           << pin.spec << " s" << pin.shards << " " << net[i].first;
     }
     ExpectConservation(run->net, pin.spec);
+  }
+}
+
+/// RTP k-NN on the lossy delayed net over walk seeds whose runs take
+/// Case-2 search expansions: the order ExpandSearch rebuilds X in (A's
+/// hash-set order, not id order) fixes ReevaluateBound's probe order,
+/// and under loss that order decides which probe draws which loss
+/// sample. Recorded from the engine whose answer set was a hash set; a
+/// rebuild of X in id order moves all three.
+TEST(NetFaultPinTest, RtpProbeOrderMatchesRecordedValues) {
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t shards;
+    std::uint64_t run[8];  ///< RtpPinCounters order
+    std::uint64_t net[24];  ///< NetCounters order
+  };
+  const char* spec = "latency:4+loss:0.05:3";
+  const Pin kPins[] = {
+      {1, 1,
+       {4376, 247, 0, 899, 247, 784, 17400, 19799},
+       {257, 247, 247, 247, 16334, 1666, 0, 0, 571, 0, 10, 0, 0, 17790, 90,
+        1599, 1950, 38, 13670, 300, 346, 10, 0, 0}},
+      {2, 1,
+       {4488, 196, 0, 898, 196, 434, 9900, 12422},
+       {210, 196, 196, 196, 9249, 2186, 0, 0, 856, 4, 10, 0, 0, 10351, 151,
+        912, 3067, 94, 5520, 300, 333, 6, 0, 0}},
+      {3, 3,
+       {4498, 177, 0, 896, 177, 392, 9600, 13765},
+       {188, 177, 177, 177, 9541, 3886, 0, 0, 278, 3, 8, 0, 0, 10044, 144,
+        818, 3094, 74, 5857, 300, 547, 13, 0, 0}},
+  };
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed) + " s" +
+                 std::to_string(pin.shards));
+    auto run = RunSystem(PinConfig(spec, pin.shards, pin.seed));
+    ASSERT_TRUE(run.ok());
+    const std::vector<std::uint64_t> got = RtpPinCounters(*run);
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(got[i], pin.run[i]) << "run[" << i << "]";
+    }
+    const auto net = NetCounters(run->net);
+    ASSERT_EQ(net.size(), 24u);
+    for (std::size_t i = 0; i < net.size(); ++i) {
+      EXPECT_EQ(net[i].second, pin.net[i]) << net[i].first;
+    }
   }
 }
 
