@@ -161,6 +161,14 @@ void QueryHost::WireSlot(Slot& slot) {
     bank->SyncReference(id, v);  // the probed value is now "reported"
     return v;
   };
+  transport.probe_all = [this, bank](std::vector<Value>& cache) {
+    AssertViewFresh(*bank, *arenas_.front());
+    // Nets that may lose an exchange probe stream by stream instead.
+    if (!net_->ControlRpcBatch(values_.size(), now_)) return false;
+    std::copy(values_.begin(), values_.end(), cache.begin());
+    bank->SyncColumn(values_);
+    return true;
+  };
   transport.region_probe =
       [this, bank](StreamId id, const Interval& region) -> std::optional<Value> {
     AssertViewFresh(*bank, *arenas_.front());

@@ -227,6 +227,31 @@ void FilterArena::SyncReference(StreamId id, std::size_t column,
   if (tracking_) MarkTouched(id, column);
 }
 
+void FilterArena::SyncColumn(FilterArena* const* arenas,
+                             std::size_t num_arenas, std::size_t column,
+                             const std::vector<Value>& values) {
+  ASF_DCHECK(num_arenas > 0);
+  const std::size_t w = column / 64;
+  const std::uint64_t mask = std::uint64_t{1} << (column % 64);
+  for (std::size_t s = 0; s < num_arenas; ++s) {
+    FilterArena& arena = *arenas[s];
+    ASF_DCHECK(column < arena.live_);
+    const std::size_t words = arena.words_;
+    std::uint64_t* ref = arena.ref_bits_.data() + w;
+    const std::uint64_t* always = arena.always_bits_.data() + w;
+    for (std::size_t row = 0; row < arena.num_streams_; ++row) {
+      // SyncReference's bit rule: no-filter cells keep their reference.
+      if ((always[row * words] & mask) == 0) {
+        const bool inside = arena.LaneInside(row * arena.stride_ + column,
+                                             values[row * num_arenas + s]);
+        ref[row * words] = inside ? (ref[row * words] | mask)
+                                  : (ref[row * words] & ~mask);
+      }
+      if (arena.tracking_) arena.MarkTouched(row, column);
+    }
+  }
+}
+
 const std::uint64_t* FilterArena::EvaluateUpdate(StreamId id, Value v) {
   ASF_DCHECK(id < num_streams_ && live_ > 0);
   ASF_DCHECK(std::isfinite(v));

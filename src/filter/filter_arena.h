@@ -163,6 +163,13 @@ class FilterArena {
   /// current (probed) value, like Filter::SyncReference.
   void SyncReference(StreamId id, std::size_t column, Value current_value);
 
+  /// Syncs every cell of `column` in the lockstep arena set
+  /// `arenas[0..num_arenas)` (stream id -> arena id % S, row id / S) to
+  /// the stream's current value `values[id]` — one pass with the bits and
+  /// touched marks of SyncReference called for every stream.
+  static void SyncColumn(FilterArena* const* arenas, std::size_t num_arenas,
+                         std::size_t column, const std::vector<Value>& values);
+
   /// The crossing kernel: evaluates value `v` of stream `id` against all
   /// live columns at once, advancing every filtered column's membership
   /// reference exactly as per-cell Filter::OnValueChange would, and

@@ -42,6 +42,17 @@ void FilterBank::SyncReference(StreamId id, Value current_value) {
   mutable_at(id).SyncReference(current_value);
 }
 
+void FilterBank::SyncColumn(const std::vector<Value>& values) {
+  ASF_DCHECK(values.size() == size_);
+  if (num_arenas_ != 0) {
+    FilterArena::SyncColumn(arenas_, num_arenas_, column_, values);
+    return;
+  }
+  for (StreamId id = 0; id < size_; ++id) {
+    mutable_at(id).SyncReference(values[id]);
+  }
+}
+
 SilentFilterCounts FilterBank::CountSilentFilters() const {
   SilentFilterCounts counts;
   if (num_arenas_ != 0) {

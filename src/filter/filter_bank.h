@@ -106,6 +106,11 @@ class FilterBank {
   /// value: the probed value becomes the last-reported one.
   void SyncReference(StreamId id, Value current_value);
 
+  /// Syncs every stream's membership reference to `values[id]` — the
+  /// same end state and touched marks as SyncReference per stream, in one
+  /// pass over the view's column.
+  void SyncColumn(const std::vector<Value>& values);
+
   /// Numbers of filters currently in the [−∞, ∞] (false positive) and
   /// [∞, ∞] (false negative) states, counted in one pass.
   SilentFilterCounts CountSilentFilters() const;

@@ -91,6 +91,12 @@ class FaultPipeline final : public NetworkModel {
   void SendDeploy(std::size_t slot, StreamId id,
                   const FilterConstraint& constraint, SimTime now) override;
   bool ControlRpc(StreamId id, SimTime now) override;
+  /// Always false: loss draws are per stream and in order.
+  bool ControlRpcBatch(std::size_t count, SimTime now) override {
+    (void)count;
+    (void)now;
+    return false;
+  }
   std::uint64_t InFlight(std::size_t slot) const override;
   void Finalize(SimTime horizon) override;
   void StartRun(SimTime horizon) override;

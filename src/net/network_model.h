@@ -354,6 +354,17 @@ class NetworkModel {
     return true;
   }
 
+  /// `count` control-plane exchanges sent at once (a probe of every
+  /// stream). Returns true, having accounted them as `count` ControlRpc
+  /// calls, when no exchange can be lost — the lossless base models.
+  /// Returns false, having done nothing, when each exchange draws its own
+  /// fate; the caller then makes `count` ControlRpc calls in order.
+  virtual bool ControlRpcBatch(std::size_t count, SimTime now) {
+    (void)now;
+    stats_.control_rpcs += count;
+    return true;
+  }
+
   /// Update payloads currently in flight toward query `slot` — what the
   /// oracle consults to attribute a tolerance violation to transit delay.
   virtual std::uint64_t InFlight(std::size_t slot) const {

@@ -1,6 +1,7 @@
 #ifndef ASF_PROTOCOL_SERVER_CONTEXT_H_
 #define ASF_PROTOCOL_SERVER_CONTEXT_H_
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -30,6 +31,14 @@ struct Transport {
   /// retransmission exhausted — DESIGN.md §11); the context then serves
   /// its cached value.
   std::function<std::optional<Value>(StreamId)> probe;
+
+  /// Probes every stream at once: writes each stream's value into
+  /// `values` (one entry per stream) and syncs every filter reference —
+  /// what `probe` for each stream in id order does when no exchange is
+  /// lost. Optional: it returns false, having done nothing, when the
+  /// delivery model may lose an exchange, and the context then probes
+  /// stream by stream.
+  std::function<bool(std::vector<Value>& values)> probe_all;
 
   /// Asks one stream "respond with your value if it lies in `region`". One
   /// request always; one response only if the value is inside (in which
@@ -118,6 +127,13 @@ class ServerContext {
   /// broadcast model the request side costs one message; the n responses
   /// are always individual.
   void ProbeAll(SimTime t) {
+    if (transport_.probe_all && transport_.probe_all(cache_)) {
+      const bool single = broadcast_ == BroadcastCostModel::kSingleMessage;
+      stats_->Count(MessageType::kProbeRequest, single ? 1 : cache_.size());
+      stats_->Count(MessageType::kProbeResponse, cache_.size());
+      std::fill(cache_time_.begin(), cache_time_.end(), t);
+      return;
+    }
     if (broadcast_ == BroadcastCostModel::kSingleMessage) {
       stats_->Count(MessageType::kProbeRequest);
       for (StreamId id = 0; id < cache_.size(); ++id) {
