@@ -28,10 +28,10 @@ void Rtp::FullRefresh(SimTime t) {
   ctx_->ProbeAll(t);
   const std::vector<ScoredStream> ranked = RankAll(query_, ctx_->cache());
   const std::size_t eps = max_rank();
-  answer_.Clear();
+  AnswerClear();
   x_.clear();
   for (std::size_t i = 0; i < ranked.size(); ++i) {
-    if (i < query_.k()) answer_.Insert(ranked[i].id);
+    if (i < query_.k()) AnswerInsert(ranked[i].id);
     if (i < eps) x_.insert(ranked[i].id);
   }
   stale_scores_.resize(ranked.size());
@@ -85,13 +85,13 @@ void Rtp::OnUpdate(StreamId id, Value v, SimTime t) {
     return;
   }
   // Case 2: an answer member left R.
-  answer_.Erase(id);
+  AnswerErase(id);
   x_.erase(id);
   const StreamId spare = BestSpare();
   if (spare != kInvalidStream) {
     // Step 3: promote the best-ranked spare; any stream inside R has true
     // rank <= |X| <= ε, so the tolerance holds.
-    answer_.Insert(spare);
+    AnswerInsert(spare);
     return;
   }
   // Step 4: X == A with only k-1 members left; hunt for candidates.
@@ -128,10 +128,10 @@ void Rtp::ExpandSearch(SimTime t) {
     const std::vector<ScoredStream> ranked_u =
         RankSubset(query_, ctx_->cache(), u_ids);
     // (iv)(a): the nearest candidate completes A back to k members.
-    answer_.Insert(ranked_u[0].id);
+    AnswerInsert(ranked_u[0].id);
     // (iv)(b): X = A plus the (r+1) nearest candidates.
     x_.clear();
-    for (StreamId a : answer_) x_.insert(a);
+    for (StreamId a : answer_order_) x_.insert(a);
     const std::size_t extra = std::min(r_ + 1, ranked_u.size());
     for (std::size_t i = 0; i < extra; ++i) x_.insert(ranked_u[i].id);
     ASF_DCHECK(x_.size() <= eps);
@@ -185,10 +185,10 @@ void Rtp::ReevaluateBound(StreamId entrant, SimTime t) {
     return;
   }
 
-  answer_.Clear();
+  AnswerClear();
   x_.clear();
   for (std::size_t i = 0; i < ranked.size(); ++i) {
-    if (i < query_.k()) answer_.Insert(ranked[i].id);
+    if (i < query_.k()) AnswerInsert(ranked[i].id);
     if (i < eps) x_.insert(ranked[i].id);
   }
   radius_ = (ranked[eps - 1].score + ranked[eps].score) / 2.0;

@@ -88,10 +88,29 @@ class Rtp : public Protocol {
     return query_.Score(ctx_->cached(id));
   }
 
+  /// A(t) mutations, applied to `answer_` and to `answer_order_` alike.
+  void AnswerInsert(StreamId id) {
+    answer_.Insert(id);
+    answer_order_.insert(id);
+  }
+  void AnswerErase(StreamId id) {
+    answer_.Erase(id);
+    answer_order_.erase(id);
+  }
+  void AnswerClear() {
+    answer_.Clear();
+    answer_order_.clear();
+  }
+
   RankQuery query_;
   std::size_t r_;
 
   AnswerSet answer_;                  // A(t), |A| = k
+  /// A(t) again, as a hash set with A's exact insert/erase history. Its
+  /// iteration order — not id order — is the order ExpandSearch rebuilds
+  /// X in, which fixes ReevaluateBound's probe order and so, under loss,
+  /// which probe draws which loss sample. Read only there.
+  std::unordered_set<StreamId> answer_order_;
   std::unordered_set<StreamId> x_;    // X(t) ⊇ A(t), |X| ≤ k + r
   Interval bound_ = Interval::Always();
   double radius_ = 0;                 // score-space radius of bound_

@@ -178,5 +178,78 @@ TEST(AnswerSetTest, Clear) {
   EXPECT_TRUE(a.empty());
 }
 
+TEST(AnswerSetTest, IteratesInAscendingIdOrder) {
+  AnswerSet a;
+  // Word boundaries (63/64, 127/128), an empty word in between, and
+  // insertion out of order.
+  for (const StreamId id : {200u, 64u, 0u, 63u, 127u, 128u, 5u}) a.Insert(id);
+  std::vector<StreamId> seen;
+  for (const StreamId id : a) seen.push_back(id);
+  EXPECT_EQ(seen, (std::vector<StreamId>{0, 5, 63, 64, 127, 128, 200}));
+  EXPECT_EQ(a.ToSortedVector(), seen);
+  EXPECT_EQ(a.size(), seen.size());
+  EXPECT_TRUE(AnswerSet().begin() == AnswerSet().end());
+}
+
+TEST(AnswerSetTest, IdsPastCapacityAreAbsentUntilInserted) {
+  AnswerSet a;
+  a.Insert(2);
+  // Far beyond the one word the set holds so far.
+  EXPECT_FALSE(a.Contains(1000));
+  EXPECT_FALSE(a.Erase(1000));
+  EXPECT_TRUE(a.Insert(1000));
+  EXPECT_TRUE(a.Contains(1000));
+  EXPECT_TRUE(a.Contains(2));
+  EXPECT_FALSE(a.Contains(999));
+  EXPECT_FALSE(a.Contains(1001));
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(a.ToSortedVector(), (std::vector<StreamId>{2, 1000}));
+}
+
+TEST(AnswerSetTest, ErasingAnAbsentIdChangesNothing) {
+  AnswerSet a;
+  a.Insert(7);
+  a.Insert(70);
+  EXPECT_FALSE(a.Erase(8));    // absent, inside the held words
+  EXPECT_FALSE(a.Erase(71));
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_TRUE(a.Erase(70));
+  EXPECT_FALSE(a.Erase(70));   // erased twice
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.ToSortedVector(), (std::vector<StreamId>{7}));
+}
+
+TEST(AnswerSetTest, ClearThenReuse) {
+  AnswerSet a;
+  for (StreamId id = 0; id < 300; id += 3) a.Insert(id);
+  a.Clear();
+  EXPECT_TRUE(a.empty());
+  EXPECT_FALSE(a.Contains(3));
+  EXPECT_TRUE(a.begin() == a.end());
+  EXPECT_TRUE(a.Insert(3));
+  EXPECT_TRUE(a.Insert(299));
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(a.ToSortedVector(), (std::vector<StreamId>{3, 299}));
+}
+
+TEST(AnswerSetTest, EqualityIgnoresCapacity) {
+  AnswerSet small;
+  small.Insert(1);
+  AnswerSet large;
+  large.Insert(1);
+  large.Insert(5000);  // grows the bitmap ...
+  large.Erase(5000);   // ... which keeps its size once emptied again
+  EXPECT_EQ(small, large);
+  EXPECT_EQ(large, small);
+  large.Insert(4000);
+  EXPECT_FALSE(small == large);
+  EXPECT_FALSE(large == small);
+  small.Insert(4000);
+  EXPECT_EQ(small, large);
+  AnswerSet cleared = large;
+  cleared.Clear();
+  EXPECT_EQ(cleared, AnswerSet());
+}
+
 }  // namespace
 }  // namespace asf
